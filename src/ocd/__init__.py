@@ -46,8 +46,6 @@ from .dynamics import (
     RunResult,
     ocd_velocity,
     run,
-    step_euler,
-    step_rk4,
 )
 from .emd import DiscreteCoupling, emd, joint_distance, wasserstein2_empirical
 from .epsilon import (
@@ -81,11 +79,6 @@ from .errors import (
     SingularCovariance,
     SingularSystem,
     SizeGuardExceeded,
-)
-from .estimators import (
-    EstimateBatch,
-    estimate_piecewise_constant,
-    estimate_piecewise_linear,
 )
 from .gaussian import (
     GaussianPair,

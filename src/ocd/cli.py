@@ -47,6 +47,7 @@ from .gaussian import (
     kappa_closed_form,
 )
 from .samplers import (
+    SAMPLERS,
     sample_banana,
     sample_funnel,
     sample_normal,
@@ -201,8 +202,9 @@ def cmd_emd(args) -> int:
 
 def cmd_dist_matrix(args) -> int:
     datasets = [ocd_io.read_samples_csv(p) for p in args.inputs]
-    epsilon = (_resolve_epsilon(args.eps, datasets[0], datasets[1])
-               if args.eps in ("auto", "rule", "crit") else float(args.eps))
+    if len(datasets) < 2:
+        raise InvalidConfig(f"need at least 2 datasets, got {len(datasets)}")
+    epsilon = _resolve_epsilon(args.eps, datasets[0], datasets[1])
     config = dataclasses.replace(_make_config(args, epsilon),
                                  record_diagnostics=False)
     matrix = distance_matrix(datasets, config, n_threads=max(1, args.threads))
@@ -217,8 +219,7 @@ def cmd_dist_matrix(args) -> int:
 def cmd_color_transfer(args) -> int:
     source = ocd_io.read_ppm(args.source)
     target = ocd_io.read_ppm(args.target)
-    epsilon = (float(args.eps) if args.eps not in ("auto", "rule", "crit")
-               else _resolve_epsilon(args.eps, source.pixels, target.pixels))
+    epsilon = _resolve_epsilon(args.eps, source.pixels, target.pixels)
     config = dataclasses.replace(_make_config(args, epsilon),
                                  record_diagnostics=False)
     result = color_transfer(source, target, config, args.alpha, args.n_train)
@@ -314,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="generate built-in test marginals")
     p.add_argument("--dist", required=True,
-                   choices=["normal", "banana", "funnel", "swiss-roll",
-                            "softmax-pushforward"])
+                   choices=list(SAMPLERS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--mean", default=None, help="comma-separated values")

@@ -163,9 +163,6 @@ class SolverConfig:
     stepper: str = STEPPER_RK4          # "euler" | "rk4"
     seed: int = 0
     record_diagnostics: bool = True
-    # Reuse step-start clusters for all RK stages.  Off by default: stage
-    # positions shift, so fidelity requires re-clustering per stage.
-    freeze_clusters_within_step: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0 or np.isnan(self.epsilon):

@@ -23,10 +23,8 @@ from .core import (
     SolverConfig,
     StepDiagnostics,
     STEPPER_EULER,
-    STEPPER_RK4,
 )
 from .diagnostics import (
-    MomentSummary,
     cross_correlation,
     marginal_drift,
     moment_summary,
@@ -74,80 +72,39 @@ def _velocities_at(x, y, cost, config, csrs=None):
     csr_x, csr_y = csrs
     state = ParticleEnsemble(x, y)
     if config.estimator == ESTIMATOR_CONSTANT:
-        est = _piecewise_constant_from_csr(state, cost, csr_x, csr_y)
+        k_x, k_y = _piecewise_constant_from_csr(state, cost, csr_x, csr_y)
     else:
-        est = _piecewise_linear_from_csr(state, cost, csr_x, csr_y, config.epsilon_hat)
-    v_x = est.k_x - cost.grad_x(x, y)
-    v_y = est.k_y - cost.grad_y(x, y)
-    return v_x, v_y
+        k_x, k_y = _piecewise_linear_from_csr(state, cost, csr_x, csr_y, config.epsilon_hat)
+    return k_x - cost.grad_x(x, y), k_y - cost.grad_y(x, y)
 
 
 def ocd_velocity(
     ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig
 ) -> VelocityBatch:
-    """Assemble velocities at the ensemble's current positions."""
-    v_x, v_y = _velocities_at(
-        ensemble.x_samples, ensemble.y_samples, cost, config
-    )
+    """Velocities at the ensemble's current positions, from fresh clusters."""
+    v_x, v_y = _velocities_at(ensemble.x_samples, ensemble.y_samples, cost, config)
     return VelocityBatch(v_x=v_x, v_y=v_y)
 
 
-def _check_state(x, y, diagnostics):
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteState(
-            "particle state diverged (NaN/Inf position)", diagnostics
-        )
-
-
-def _advance(ensemble, cost, config, csrs=None, diagnostics=None):
-    """One step of the configured stepper, in place."""
+def _advance(ensemble, cost, config, csrs, diagnostics):
+    """One step of the configured stepper, in place, from step-start clusters."""
     x, y = ensemble.x_samples, ensemble.y_samples
     dt = config.dt
-    if csrs is None:
-        csrs = _build_csrs(x, y, config)
+    k1x, k1y = _velocities_at(x, y, cost, config, csrs)
     if config.stepper == STEPPER_EULER:
-        v_x, v_y = _velocities_at(x, y, cost, config, csrs)
-        x += dt * v_x
-        y += dt * v_y
+        x += dt * k1x
+        y += dt * k1y
     else:
-        # classic RK4; stage positions re-cluster unless frozen mode is on
-        frozen = csrs if config.freeze_clusters_within_step else None
-        k1x, k1y = _velocities_at(x, y, cost, config, csrs)
-        k2x, k2y = _velocities_at(
-            x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, cost, config, frozen
-        )
-        k3x, k3y = _velocities_at(
-            x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, cost, config, frozen
-        )
-        k4x, k4y = _velocities_at(x + dt * k3x, y + dt * k3y, cost, config, frozen)
+        # classic RK4; every stage re-clusters at its own positions
+        k2x, k2y = _velocities_at(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, cost, config)
+        k3x, k3y = _velocities_at(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, cost, config)
+        k4x, k4y = _velocities_at(x + dt * k3x, y + dt * k3y, cost, config)
         x += (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y += (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     ensemble.time += dt
     ensemble.step_index += 1
-    _check_state(x, y, diagnostics or [])
-    return ensemble
-
-
-def step_euler(
-    ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig
-) -> ParticleEnsemble:
-    """Forward-Euler step: X += v_x dt, Y += v_y dt (in place)."""
-    cfg = config if config.stepper == STEPPER_EULER else _with_stepper(config, STEPPER_EULER)
-    return _advance(ensemble, cost, cfg)
-
-
-def step_rk4(
-    ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig
-) -> ParticleEnsemble:
-    """Classic RK4 step with per-stage re-clustering (in place)."""
-    cfg = config if config.stepper == STEPPER_RK4 else _with_stepper(config, STEPPER_RK4)
-    return _advance(ensemble, cost, cfg)
-
-
-def _with_stepper(config: SolverConfig, stepper: str) -> SolverConfig:
-    from dataclasses import replace
-
-    return replace(config, stepper=stepper)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteState("particle state diverged (NaN/Inf position)", diagnostics)
 
 
 def _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics):
@@ -160,8 +117,6 @@ def _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics):
         j = cross_correlation(ensemble)
     else:
         j = np.zeros((ensemble.dim, ensemble.dim))
-    if csrs is None:
-        csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
     n_cl_x, _ = cluster_count_csr(*csrs[0])
     n_cl_y, _ = cluster_count_csr(*csrs[1])
     diagnostics.append(

@@ -92,7 +92,7 @@ def epsilon_max(points, beta: float, grid) -> float:
     return best
 
 
-def default_epsilon_grid(points, n_grid: int | None = None) -> np.ndarray:
+def default_epsilon_grid(points) -> np.ndarray:
     """Geometric candidate grid from the data's own scales.
 
     Spans from below the smallest nearest-neighbour gap (where every point
@@ -120,9 +120,8 @@ def default_epsilon_grid(points, n_grid: int | None = None) -> np.ndarray:
     else:
         lo = 1e-9 * hi
     lo = min(max(lo, 1e-15), hi / 2.0)
-    if n_grid is None:
-        n_grid = int(np.clip(round(4.0 * np.log10(hi / lo)) + 1, 16, 48))
-    return np.geomspace(lo, hi, n_grid)
+    n_points = int(np.clip(round(4.0 * np.log10(hi / lo)) + 1, 16, 48))
+    return np.geomspace(lo, hi, n_points)
 
 
 def auto_epsilon(x_points, y_points, beta: float = 0.9, grid=None) -> float:

@@ -17,25 +17,14 @@ velocity), and the infinite-ridge limit returns the cluster mean gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import CostModel, KIND_L2, ParticleEnsemble
+from .core import KIND_L2
 from .errors import NonFiniteResult, SingularSystem
-from .neighbors import SpatialIndex, neighbor_csr
 
 # Condition-number ceiling above which the cluster solve falls back to a
 # scaled ridge; see _linear_estimate.
 _COND_LIMIT = 1e12
-
-
-@dataclass
-class EstimateBatch:
-    """Per-particle conditional-expectation estimates."""
-
-    k_x: np.ndarray  # (N_p, n), estimate of E[grad_x c | X = X_i]
-    k_y: np.ndarray  # (N_p, n), estimate of E[grad_y c | Y = Y_i]
 
 
 def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -43,25 +32,12 @@ def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, indptr[:-1], axis=0)
 
 
-def estimate_piecewise_constant(
-    ensemble: ParticleEnsemble,
-    cost: CostModel,
-    idx_x: SpatialIndex,
-    idx_y: SpatialIndex,
-    epsilon: float,
-) -> EstimateBatch:
-    """Cluster-average estimator.
+def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y):
+    """Cluster-average estimates (k_x, k_y).
 
-    k_x[i] averages grad_x c(X_i, Y_j) over j in the X-cluster of i (X_i held
-    fixed, partners Y_j varying), and k_y[i] averages grad_y c(X_j, Y_i) over
-    the Y-cluster.
+    k_x[i] averages grad_x c(X_i, Y_j) over j in the X-cluster of i, and
+    k_y[i] averages grad_y c(X_j, Y_i) over the Y-cluster.
     """
-    csr_x = neighbor_csr(idx_x, epsilon)
-    csr_y = neighbor_csr(idx_y, epsilon)
-    return _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y)
-
-
-def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y) -> EstimateBatch:
     x, y = ensemble.x_samples, ensemble.y_samples
     indptr_x, cols_x = csr_x
     indptr_y, cols_y = csr_y
@@ -81,7 +57,7 @@ def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y) -> EstimateBatch:
         k_y = _segment_sum(cost.grad_y(x[cols_y], y[rows_y]), indptr_y) / cnt_y
     if not (np.isfinite(k_x).all() and np.isfinite(k_y).all()):
         raise NonFiniteResult("piecewise-constant estimate is not finite")
-    return EstimateBatch(k_x=k_x, k_y=k_y)
+    return k_x, k_y
 
 
 def _min_max_eig_sym(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,30 +135,11 @@ def _linear_estimate(
     return est
 
 
-def estimate_piecewise_linear(
-    ensemble: ParticleEnsemble,
-    cost: CostModel,
-    idx_x: SpatialIndex,
-    idx_y: SpatialIndex,
-    epsilon: float,
-    epsilon_hat: float = 0.0,
-) -> EstimateBatch:
-    """Per-cluster linear-regression estimator with ridge epsilon_hat.
-
-    With epsilon_hat = 0 an automatic fallback ridge (scaled to the cluster
-    covariance trace) handles clusters whose covariance is singular or has
-    condition estimate above 1e12; clusters of fewer than two distinct points
-    therefore return their own gradient rather than failing.
-    """
-    csr_x = neighbor_csr(idx_x, epsilon)
-    csr_y = neighbor_csr(idx_y, epsilon)
-    return _piecewise_linear_from_csr(ensemble, cost, csr_x, csr_y, epsilon_hat)
-
-
-def _piecewise_linear_from_csr(ensemble, cost, csr_x, csr_y, epsilon_hat) -> EstimateBatch:
+def _piecewise_linear_from_csr(ensemble, cost, csr_x, csr_y, epsilon_hat):
+    """Per-cluster linear-regression estimates (k_x, k_y) with ridge epsilon_hat."""
     x, y = ensemble.x_samples, ensemble.y_samples
     g_x = cost.grad_x(x, y)   # diagonal pairs: gradients at (X_j, Y_j)
     g_y = cost.grad_y(x, y)
     k_x = _linear_estimate(x, g_x, csr_x[0], csr_x[1], epsilon_hat)
     k_y = _linear_estimate(y, g_y, csr_y[0], csr_y[1], epsilon_hat)
-    return EstimateBatch(k_x=k_x, k_y=k_y)
+    return k_x, k_y

@@ -131,13 +131,24 @@ def write_manifest(manifest: RunManifest, path) -> None:
         fh.write("\n")
 
 
+def _config_from_manifest(config) -> SolverConfig | None:
+    if config is None:
+        return None
+    known = {f.name for f in dataclasses.fields(SolverConfig)}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ParseError(f"manifest config has unknown field {unknown[0]!r}")
+    if "epsilon" not in config:
+        raise ParseError("manifest config lacks required field 'epsilon'")
+    return SolverConfig(**config)
+
+
 def read_manifest(path) -> RunManifest:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    config = payload.get("config")
     return RunManifest(
         subcommand=payload["subcommand"],
-        config=SolverConfig(**config) if config is not None else None,
+        config=_config_from_manifest(payload.get("config")),
         inputs=payload.get("inputs", {}),
         output_dir=payload.get("output_dir", "."),
         seed=payload.get("seed", 0),

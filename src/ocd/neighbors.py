@@ -27,7 +27,6 @@ class SpatialIndex:
     """
 
     points: np.ndarray       # (N, n), borrowed
-    leaf_size: int
     _tree: cKDTree = field(repr=False)
 
     @property
@@ -35,7 +34,7 @@ class SpatialIndex:
         return self.points.shape[0]
 
 
-def build_index(points, leaf_size: int = 16) -> SpatialIndex:
+def build_index(points) -> SpatialIndex:
     """Build a radius-query index over the rows of ``points``."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -44,10 +43,8 @@ def build_index(points, leaf_size: int = 16) -> SpatialIndex:
         raise EmptyInput(f"cannot index an empty point set, shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise NonFiniteInput("points contain NaN or Inf")
-    if leaf_size < 1:
-        raise InvalidConfig(f"leaf_size must be >= 1, got {leaf_size}")
-    tree = cKDTree(pts, leafsize=leaf_size, copy_data=False)
-    return SpatialIndex(points=pts, leaf_size=leaf_size, _tree=tree)
+    tree = cKDTree(pts, leafsize=16, copy_data=False)
+    return SpatialIndex(points=pts, _tree=tree)
 
 
 def radius_neighbors(index: SpatialIndex, query_row: int, epsilon: float) -> list[int]:
@@ -79,6 +76,9 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     if np.isfinite(epsilon):
         pairs = index._tree.query_pairs(r=float(epsilon), output_type="ndarray")
     else:
+        # cKDTree.query_pairs(r=inf) raises ValueError ("floating point
+        # overflow") once squared distances leave the float range, as on a
+        # diverging run; an infinite cutoff joins every pair, so list them
         ii, jj = np.triu_indices(n, k=1)
         pairs = np.stack([ii, jj], axis=1)
     if pairs.shape[0] == 0:

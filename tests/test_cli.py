@@ -66,6 +66,27 @@ def test_solve_rejects_bad_epsilon_spec(clouds, tmp_path, capsys):
     assert "InvalidConfig" in capsys.readouterr().err
 
 
+def test_dist_matrix_and_color_transfer_reject_bad_epsilon_spec(clouds, tmp_path, capsys):
+    xp, yp = clouds
+    rng = np.random.default_rng(3)
+    src, tgt = tmp_path / "s.ppm", tmp_path / "t.ppm"
+    write_ppm(ImageSamples(rng.random((24, 3)), 6, 4), src)
+    write_ppm(ImageSamples(rng.random((24, 3)), 6, 4), tgt)
+    for argv in (["dist-matrix", "--inputs", str(xp), str(yp)],
+                 ["color-transfer", "--source", str(src), "--target", str(tgt)]):
+        code = main(argv + ["--eps", "abc", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "InvalidConfig" in capsys.readouterr().err
+
+
+def test_dist_matrix_needs_two_inputs(clouds, tmp_path, capsys):
+    xp, _ = clouds
+    code = main(["dist-matrix", "--inputs", str(xp), "--eps", "auto",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "InvalidConfig" in capsys.readouterr().err
+
+
 def test_solve_missing_input_exits_2(tmp_path, capsys):
     code = main(["solve", "--x", str(tmp_path / "nope.csv"),
                  "--y", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])

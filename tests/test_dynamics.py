@@ -9,8 +9,6 @@ from ocd import (
     new_ensemble,
     ocd_velocity,
     run,
-    step_euler,
-    step_rk4,
 )
 from ocd.dynamics import TERM_COST_BELOW_GAMMA, TERM_MAX_STEPS, TERM_STAGNATED
 
@@ -29,6 +27,11 @@ def cfg(**kw):
     return SolverConfig(**base)
 
 
+def advance(ens, n_steps, **kw):
+    """Exactly n_steps solver steps, in place: the cost and stagnation stops are off."""
+    run(ens, L2, cfg(max_steps=n_steps, gamma_abs=0.0, gamma_rel=0.0, **kw))
+
+
 def test_velocity_two_particles():
     v = ocd_velocity(two_particle(), L2, cfg())
     np.testing.assert_allclose(v.v_x, [[2.0], [-2.0]])
@@ -37,7 +40,7 @@ def test_velocity_two_particles():
 
 def test_euler_step_two_particles():
     ens = two_particle()
-    step_euler(ens, L2, cfg())
+    advance(ens, 1)
     np.testing.assert_allclose(ens.x_samples, [[-0.8], [0.8]])
     np.testing.assert_allclose(ens.y_samples, [[0.8], [-0.8]])
     assert ens.step_index == 1
@@ -45,14 +48,14 @@ def test_euler_step_two_particles():
     # each pair gap contracts by the same factor, so the cost is geometric
     cost = np.mean((ens.x_samples - ens.y_samples) ** 2)
     assert cost == pytest.approx(2.56)
-    step_euler(ens, L2, cfg())
+    advance(ens, 1)
     cost = np.mean((ens.x_samples - ens.y_samples) ** 2)
     assert cost == pytest.approx(2.56 * 0.64)
 
 
 def test_rk4_step_matches_closed_form_to_fifth_order():
     ens = two_particle()
-    step_rk4(ens, L2, cfg(stepper="rk4"))
+    advance(ens, 1, stepper="rk4")
     x_ref, y_ref = two_particle_closed_form(
         np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]), t=0.1
     )
@@ -60,7 +63,7 @@ def test_rk4_step_matches_closed_form_to_fifth_order():
     assert np.abs(ens.y_samples - y_ref).max() < 1e-5
     # Euler lands much farther out; RK4 must beat it by orders of magnitude
     e2 = two_particle()
-    step_euler(e2, L2, cfg())
+    advance(e2, 1)
     assert np.abs(ens.x_samples - x_ref).max() < 1e-3 * np.abs(e2.x_samples - x_ref).max()
 
 
@@ -71,8 +74,7 @@ def test_rk4_convergence_order():
 
     def err(dt):
         ens = new_ensemble(x0, y0)
-        for _ in range(int(round(1.0 / dt))):
-            step_rk4(ens, L2, cfg(stepper="rk4", dt=dt))
+        advance(ens, int(round(1.0 / dt)), stepper="rk4", dt=dt)
         return np.abs(ens.x_samples - x_ref).max()
 
     # global-error regime needs enough steps; very short horizons sit in the
@@ -192,14 +194,26 @@ def test_divergence_raises_with_partial_diagnostics():
     assert len(info.value.partial_diagnostics) >= 1
 
 
-def test_frozen_cluster_option_changes_rk4_stages_only():
+def test_rk4_stages_recluster_at_stage_positions():
+    # one RK4 step of run() is the step assembled from four velocities, each
+    # with clusters built at its own stage positions; clusters frozen at the
+    # step start would move x by up to 0.70 here
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 1))
     y = rng.standard_normal((40, 1))
-    live = run(new_ensemble(x, y), L2,
-               SolverConfig(epsilon=0.3, max_steps=10))
-    frozen = run(new_ensemble(x, y), L2,
-                 SolverConfig(epsilon=0.3, max_steps=10,
-                              freeze_clusters_within_step=True))
-    # both must run to completion; trajectories may differ slightly
-    assert np.isfinite(live.final_cost) and np.isfinite(frozen.final_cost)
+    config = SolverConfig(epsilon=0.3, dt=0.5, max_steps=1, gamma_abs=0.0, gamma_rel=0.0)
+    res = run(new_ensemble(x, y), L2, config)
+
+    def velocity(px, py):
+        v = ocd_velocity(new_ensemble(px, py), L2, config)
+        return v.v_x, v.v_y
+
+    dt = config.dt
+    k1x, k1y = velocity(x, y)
+    k2x, k2y = velocity(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
+    k3x, k3y = velocity(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
+    k4x, k4y = velocity(x + dt * k3x, y + dt * k3y)
+    x_ref = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    y_ref = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    np.testing.assert_array_equal(res.final_ensemble.x_samples, x_ref)
+    np.testing.assert_array_equal(res.final_ensemble.y_samples, y_ref)

@@ -3,41 +3,54 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocd import (
-    build_index,
+    SolverConfig,
     custom_cost_model,
-    estimate_piecewise_constant,
-    estimate_piecewise_linear,
     l2_cost_model,
     new_ensemble,
+    ocd_velocity,
 )
 
 L2 = l2_cost_model()
 
 
-def indices(ens):
-    return build_index(ens.x_samples), build_index(ens.y_samples)
+def _estimate(ens, cost, epsilon, estimator, epsilon_hat=0.0):
+    # the velocity is v = k - grad c, so the estimate is k = v + grad c
+    config = SolverConfig(epsilon=epsilon, estimator=estimator, epsilon_hat=epsilon_hat)
+    v = ocd_velocity(ens, cost, config)
+    x, y = ens.x_samples, ens.y_samples
+    return v.v_x + cost.grad_x(x, y), v.v_y + cost.grad_y(x, y)
+
+
+def estimate_piecewise_constant(ens, cost, epsilon):
+    """(k_x, k_y) of the cluster-average estimator."""
+    return _estimate(ens, cost, epsilon, "constant")
+
+
+def estimate_piecewise_linear(ens, cost, epsilon, epsilon_hat=0.0):
+    """(k_x, k_y) of the per-cluster linear-regression estimator."""
+    return _estimate(ens, cost, epsilon, "linear", epsilon_hat)
 
 
 def test_constant_estimator_cluster_average():
     # X-cluster {1, 2} with partners {1, 3}: k_x[0] = mean 2(1 - Y_j) = -2
     ens = new_ensemble(np.array([[1.0], [2.0]]), np.array([[1.0], [3.0]]))
-    est = estimate_piecewise_constant(ens, L2, *indices(ens), epsilon=1.5)
-    assert est.k_x[0, 0] == pytest.approx(-2.0)
-    assert est.k_x[1, 0] == pytest.approx(0.0)   # mean 2(2 - Y_j)
+    k_x, k_y = estimate_piecewise_constant(ens, L2, epsilon=1.5)
+    assert k_x[0, 0] == pytest.approx(-2.0)
+    assert k_x[1, 0] == pytest.approx(0.0)   # mean 2(2 - Y_j)
 
 
 def test_constant_estimator_singleton_returns_own_gradient():
     ens = new_ensemble(np.array([[0.0], [10.0]]), np.array([[1.0], [2.0]]))
-    est = estimate_piecewise_constant(ens, L2, *indices(ens), epsilon=0.5)
-    np.testing.assert_allclose(est.k_x, L2.grad_x(ens.x_samples, ens.y_samples))
-    np.testing.assert_allclose(est.k_y, L2.grad_y(ens.x_samples, ens.y_samples))
+    k_x, k_y = estimate_piecewise_constant(ens, L2, epsilon=0.5)
+    np.testing.assert_allclose(k_x, L2.grad_x(ens.x_samples, ens.y_samples))
+    np.testing.assert_allclose(k_y, L2.grad_y(ens.x_samples, ens.y_samples))
 
 
 def test_constant_estimator_two_particle_global_cluster():
     ens = new_ensemble(np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]))
-    est = estimate_piecewise_constant(ens, L2, *indices(ens), epsilon=np.inf)
-    v_x = est.k_x - L2.grad_x(ens.x_samples, ens.y_samples)
-    v_y = est.k_y - L2.grad_y(ens.x_samples, ens.y_samples)
+    k_x, k_y = estimate_piecewise_constant(ens, L2, epsilon=np.inf)
+    v_x = k_x - L2.grad_x(ens.x_samples, ens.y_samples)
+    v_y = k_y - L2.grad_y(ens.x_samples, ens.y_samples)
     np.testing.assert_allclose(v_x, [[2.0], [-2.0]])
     np.testing.assert_allclose(v_y, [[-2.0], [2.0]])
 
@@ -55,11 +68,11 @@ def test_constant_estimator_custom_cost_matches_direct_average():
     y = rng.standard_normal((12, 2))
     ens = new_ensemble(x, y)
     eps = 1.0
-    est = estimate_piecewise_constant(ens, quartic, *indices(ens), epsilon=eps)
+    k_x, k_y = estimate_piecewise_constant(ens, quartic, epsilon=eps)
     for i in range(12):
         ball = np.nonzero(np.linalg.norm(x - x[i], axis=1) <= eps)[0]
         ref = quartic.grad_x(np.broadcast_to(x[i], (ball.size, 2)), y[ball]).mean(axis=0)
-        np.testing.assert_allclose(est.k_x[i], ref, atol=1e-12)
+        np.testing.assert_allclose(k_x[i], ref, atol=1e-12)
 
 
 def test_linear_estimator_recovers_affine_coupling():
@@ -68,9 +81,9 @@ def test_linear_estimator_recovers_affine_coupling():
     x = np.array([[0.0], [1.0], [2.0]])
     y = 2.0 * x + 1.0
     ens = new_ensemble(x, y)
-    est = estimate_piecewise_linear(ens, L2, *indices(ens), epsilon=np.inf)
-    np.testing.assert_allclose(est.k_x, 2.0 * (x - y), atol=1e-12)
-    v_x = est.k_x - L2.grad_x(x, y)
+    k_x, k_y = estimate_piecewise_linear(ens, L2, epsilon=np.inf)
+    np.testing.assert_allclose(k_x, 2.0 * (x - y), atol=1e-12)
+    v_x = k_x - L2.grad_x(x, y)
     np.testing.assert_allclose(v_x, np.zeros_like(x), atol=1e-12)
 
 
@@ -78,9 +91,9 @@ def test_linear_estimator_singleton_is_frozen():
     x = np.array([[0.0], [50.0]])
     y = np.array([[3.0], [-7.0]])
     ens = new_ensemble(x, y)
-    est = estimate_piecewise_linear(ens, L2, *indices(ens), epsilon=1.0)
-    np.testing.assert_allclose(est.k_x, L2.grad_x(x, y))
-    np.testing.assert_allclose(est.k_y, L2.grad_y(x, y))
+    k_x, k_y = estimate_piecewise_linear(ens, L2, epsilon=1.0)
+    np.testing.assert_allclose(k_x, L2.grad_x(x, y))
+    np.testing.assert_allclose(k_y, L2.grad_y(x, y))
 
 
 def test_linear_estimator_interpolates_two_point_clusters():
@@ -89,9 +102,9 @@ def test_linear_estimator_interpolates_two_point_clusters():
     x = np.array([[0.0], [1.0]])
     y = np.array([[5.0], [-2.0]])
     ens = new_ensemble(x, y)
-    est = estimate_piecewise_linear(ens, L2, *indices(ens), epsilon=np.inf)
-    np.testing.assert_allclose(est.k_x, L2.grad_x(x, y), atol=1e-10)
-    np.testing.assert_allclose(est.k_y, L2.grad_y(x, y), atol=1e-10)
+    k_x, k_y = estimate_piecewise_linear(ens, L2, epsilon=np.inf)
+    np.testing.assert_allclose(k_x, L2.grad_x(x, y), atol=1e-10)
+    np.testing.assert_allclose(k_y, L2.grad_y(x, y), atol=1e-10)
 
 
 def test_linear_estimator_large_ridge_limit_is_cluster_mean():
@@ -99,10 +112,9 @@ def test_linear_estimator_large_ridge_limit_is_cluster_mean():
     x = rng.standard_normal((20, 2))
     y = rng.standard_normal((20, 2))
     ens = new_ensemble(x, y)
-    est = estimate_piecewise_linear(ens, L2, *indices(ens), epsilon=np.inf,
-                                    epsilon_hat=1e12)
+    k_x, k_y = estimate_piecewise_linear(ens, L2, epsilon=np.inf, epsilon_hat=1e12)
     g = L2.grad_x(x, y)
-    np.testing.assert_allclose(est.k_x, np.broadcast_to(g.mean(axis=0), g.shape),
+    np.testing.assert_allclose(k_x, np.broadcast_to(g.mean(axis=0), g.shape),
                                atol=1e-9)
 
 
@@ -111,9 +123,9 @@ def test_linear_estimator_handles_duplicate_points():
     x = np.zeros((4, 2))
     y = np.random.default_rng(0).standard_normal((4, 2))
     ens = new_ensemble(x, y)
-    est = estimate_piecewise_linear(ens, L2, *indices(ens), epsilon=0.5)
+    k_x, k_y = estimate_piecewise_linear(ens, L2, epsilon=0.5)
     g = L2.grad_x(x, y)
-    np.testing.assert_allclose(est.k_x, np.broadcast_to(g.mean(axis=0), g.shape),
+    np.testing.assert_allclose(k_x, np.broadcast_to(g.mean(axis=0), g.shape),
                                atol=1e-6)
 
 
@@ -123,11 +135,10 @@ def test_estimators_translation_invariant(maker):
     x = rng.standard_normal((15, 2))
     y = rng.standard_normal((15, 2))
     shift = np.array([3.0, -4.0])
-    a = maker(new_ensemble(x, y), L2, build_index(x), build_index(y), 0.8)
-    b = maker(new_ensemble(x + shift, y + shift), L2,
-              build_index(x + shift), build_index(y + shift), 0.8)
-    np.testing.assert_allclose(a.k_x, b.k_x, atol=1e-9)
-    np.testing.assert_allclose(a.k_y, b.k_y, atol=1e-9)
+    a = maker(new_ensemble(x, y), L2, 0.8)
+    b = maker(new_ensemble(x + shift, y + shift), L2, 0.8)
+    np.testing.assert_allclose(a[0], b[0], atol=1e-9)
+    np.testing.assert_allclose(a[1], b[1], atol=1e-9)
 
 
 @pytest.mark.parametrize("maker", [estimate_piecewise_constant, estimate_piecewise_linear])
@@ -137,9 +148,9 @@ def test_velocities_sum_to_zero_over_global_cluster(maker):
     x = rng.standard_normal((30, 3))
     y = rng.standard_normal((30, 3))
     ens = new_ensemble(x, y)
-    est = maker(ens, L2, *indices(ens), np.inf)
-    v_x = est.k_x - L2.grad_x(x, y)
-    v_y = est.k_y - L2.grad_y(x, y)
+    k_x, k_y = maker(ens, L2, np.inf)
+    v_x = k_x - L2.grad_x(x, y)
+    v_y = k_y - L2.grad_y(x, y)
     np.testing.assert_allclose(v_x.sum(axis=0), np.zeros(3), atol=1e-10)
     np.testing.assert_allclose(v_y.sum(axis=0), np.zeros(3), atol=1e-10)
 
@@ -150,8 +161,8 @@ def test_velocities_sum_to_zero_per_isolated_cluster():
     x = np.concatenate([rng.normal(0, 0.1, (8, 1)), rng.normal(100, 0.1, (6, 1))])
     y = rng.standard_normal((14, 1))
     ens = new_ensemble(x, y)
-    est = estimate_piecewise_linear(ens, L2, *indices(ens), epsilon=5.0)
-    v_x = est.k_x - L2.grad_x(x, y)
+    k_x, k_y = estimate_piecewise_linear(ens, L2, epsilon=5.0)
+    v_x = k_x - L2.grad_x(x, y)
     assert abs(v_x[:8].sum()) < 1e-9
     assert abs(v_x[8:].sum()) < 1e-9
 
@@ -168,7 +179,6 @@ def test_linear_estimator_finite_on_random_inputs(n, dim, eps, eps_hat, seed):
     # never raises and always returns finite numbers, ridge or not
     rng = np.random.default_rng(seed)
     ens = new_ensemble(rng.uniform(-2, 2, (n, dim)), rng.uniform(-2, 2, (n, dim)))
-    est = estimate_piecewise_linear(ens, L2, *indices(ens), epsilon=eps,
-                                    epsilon_hat=eps_hat)
-    assert np.isfinite(est.k_x).all()
-    assert np.isfinite(est.k_y).all()
+    k_x, k_y = estimate_piecewise_linear(ens, L2, epsilon=eps, epsilon_hat=eps_hat)
+    assert np.isfinite(k_x).all()
+    assert np.isfinite(k_y).all()

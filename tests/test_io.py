@@ -113,6 +113,22 @@ def test_manifest_round_trip(tmp_path):
     assert back.config.epsilon == 0.3
 
 
+def test_manifest_config_field_errors_are_parse_errors(tmp_path):
+    # manifests of earlier versions carry the retired frozen-cluster option
+    config = {"epsilon": 0.3, "epsilon_hat": 0.0, "dt": 0.1, "max_steps": 1000,
+              "gamma_abs": 0.01, "gamma_rel": 0.0001, "stagnation_window": 50,
+              "estimator": "linear", "stepper": "rk4", "seed": 0,
+              "record_diagnostics": True, "freeze_clusters_within_step": False}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"subcommand": "solve", "config": config}))
+    with pytest.raises(ParseError, match="freeze_clusters_within_step"):
+        read_manifest(path)
+    del config["freeze_clusters_within_step"], config["epsilon"]
+    path.write_text(json.dumps({"subcommand": "solve", "config": config}))
+    with pytest.raises(ParseError, match="epsilon"):
+        read_manifest(path)
+
+
 def test_manifest_bytes_are_stable(tmp_path):
     man = RunManifest(subcommand="emd", config=None, inputs={},
                       output_dir=".", seed=0)

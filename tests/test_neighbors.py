@@ -50,8 +50,6 @@ def test_build_index_errors():
         build_index(np.zeros(3))
     with pytest.raises(NonFiniteInput):
         build_index(np.array([[np.nan], [0.0]]))
-    with pytest.raises(InvalidConfig):
-        build_index(np.zeros((2, 1)), leaf_size=0)
 
 
 def test_neighbor_csr_matches_per_row_queries():
