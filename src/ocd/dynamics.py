@@ -31,7 +31,7 @@ from .diagnostics import (
     spd_margin,
     transport_cost,
 )
-from .errors import NonFiniteInput, NonFiniteState
+from .errors import NonFiniteInput, NonFiniteResult, NonFiniteState
 from .estimators import (
     _piecewise_constant_from_csr,
     _piecewise_linear_from_csr,
@@ -169,8 +169,13 @@ def run(ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig) -> Ru
         if steps_taken >= config.max_steps:
             termination = TERM_MAX_STEPS
             break
-        _advance(ensemble, cost, config, csrs, diagnostics)
-        csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
+        try:
+            _advance(ensemble, cost, config, csrs, diagnostics)
+            csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
+        except NonFiniteResult as exc:
+            # finite inputs gave a non-finite result: the state has left the
+            # float range, e.g. squared pair distances overflow in the tree
+            raise NonFiniteState(f"particle state diverged: {exc}", diagnostics) from exc
         cost_now = _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics)
         history.append(cost_now)
 

@@ -90,13 +90,15 @@ def _linear_estimate(
     """Ridge regression of diagonal-pair gradients on position, per cluster."""
     n_pts, dim = pos.shape
     cnt = np.diff(indptr)
-    rows = np.repeat(np.arange(n_pts), cnt)
     cntf = cnt[:, None].astype(np.float64)
 
-    m_pos = _segment_sum(pos[cols], indptr) / cntf
-    m_grad = _segment_sum(grad[cols], indptr) / cntf
-    dpos = pos[cols] - m_pos[rows]
-    dgrad = grad[cols] - m_grad[rows]
+    # one gather per array, centred in place once the cluster means are known
+    dpos = pos[cols]
+    dgrad = grad[cols]
+    m_pos = _segment_sum(dpos, indptr) / cntf
+    m_grad = _segment_sum(dgrad, indptr) / cntf
+    dpos -= np.repeat(m_pos, cnt, axis=0)
+    dgrad -= np.repeat(m_grad, cnt, axis=0)
 
     # population-normalized covariance blocks, one per particle
     s_pp = np.empty((n_pts, dim, dim))

@@ -11,11 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import EmptyInput, IndexOutOfRange, InvalidConfig, NonFiniteInput
+from .errors import (
+    EmptyInput,
+    IndexOutOfRange,
+    InvalidConfig,
+    NonFiniteInput,
+    NonFiniteResult,
+)
 
 
 @dataclass
@@ -69,34 +75,39 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     Row i's neighbors are cols[indptr[i]:indptr[i+1]], sorted ascending and
     always containing i.  This is the bulk form of radius_neighbors used by
     the estimators; both produce the same closed-ball sets.
+
+    The build is O(nnz) after the pair query: a counting sort of the
+    upper-triangle pairs into CSR, then the canonical sum of that matrix,
+    its transpose and the identity, which keeps every row's columns
+    ascending.  Both arrays are scipy's own index arrays, so their dtype is
+    scipy's index dtype: int32 while the graph has fewer than 2**31 entries,
+    int64 beyond.
+
+    Raises NonFiniteResult when the squared distances among finite points
+    overflow the float range, as on a diverging run.
     """
     if not epsilon > 0:
         raise InvalidConfig(f"epsilon must be > 0, got {epsilon}")
     n = index.n_points
     if np.isfinite(epsilon):
-        pairs = index._tree.query_pairs(r=float(epsilon), output_type="ndarray")
+        try:
+            ii, jj = index._tree.query_pairs(r=float(epsilon), output_type="ndarray").T
+        except ValueError as exc:
+            # cKDTree refuses any query, whatever r, once the squared extent
+            # of the data overflows ("Encountering floating point overflow")
+            raise NonFiniteResult(f"squared point distances overflow: {exc}") from exc
     else:
-        # cKDTree.query_pairs(r=inf) raises ValueError ("floating point
-        # overflow") once squared distances leave the float range, as on a
-        # diverging run; an infinite cutoff joins every pair, so list them
+        # an infinite cutoff joins every pair, so list them without the tree,
+        # which would overflow on a diverging state
         ii, jj = np.triu_indices(n, k=1)
-        pairs = np.stack([ii, jj], axis=1)
-    if pairs.shape[0] == 0:
-        # isolated points: every row is its own singleton cluster
-        indptr = np.arange(n + 1, dtype=np.int64)
-        return indptr, np.arange(n, dtype=np.int64)
-    deg = (
-        np.bincount(pairs[:, 0], minlength=n)
-        + np.bincount(pairs[:, 1], minlength=n)
-        + 1
-    )
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    self_ix = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1], self_ix])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0], self_ix])
-    order = np.lexsort((cols, rows))
-    return indptr, cols[order]
+    upper = coo_matrix(
+        (np.ones(ii.shape[0], dtype=np.int8), (ii, jj)), shape=(n, n)
+    ).tocsr()
+    # free the int64 pair list before the sum, the peak of the build
+    del ii, jj
+    upper.sort_indices()
+    graph = upper + upper.T + identity(n, dtype=np.int8, format="csr")
+    return graph.indptr, graph.indices
 
 
 def knn_query(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ in the package is meaningful.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 def brute_ball(points, query_row, epsilon):
@@ -13,6 +14,61 @@ def brute_ball(points, query_row, epsilon):
     pts = np.asarray(points, dtype=np.float64)
     d = np.linalg.norm(pts - pts[query_row], axis=1)
     return sorted(np.nonzero(d <= epsilon)[0].tolist())
+
+
+def neighbor_csr_lexsort(points, epsilon):
+    """Closed-ball CSR (indptr, cols) by one lexsort over every directed pair.
+
+    Both orientations of each tree pair plus the self pairs, as int64 keys
+    ordered by (row, col): the direct construction, with no sparse-matrix
+    arithmetic to keep rows sorted.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if np.isfinite(epsilon):
+        pairs = cKDTree(pts).query_pairs(r=float(epsilon), output_type="ndarray")
+    else:
+        ii, jj = np.triu_indices(n, k=1)
+        pairs = np.stack([ii, jj], axis=1)
+    deg = (
+        np.bincount(pairs[:, 0], minlength=n)
+        + np.bincount(pairs[:, 1], minlength=n)
+        + 1
+    )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    self_ix = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], self_ix])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], self_ix])
+    order = np.lexsort((cols, rows))
+    return indptr, cols[order]
+
+
+def linear_estimate_loop(pos, grad, indptr, cols, epsilon_hat):
+    """Per-cluster ridge regression of grad on pos, one cluster at a time.
+
+    For each row: the cluster means, the population-normalized centred
+    outer products, the ridge, the scaled fallback ridge when the system is
+    not positive definite or its condition number exceeds 1e12, and
+    np.linalg.solve.
+    """
+    n, dim = pos.shape
+    eye = np.eye(dim)
+    est = np.empty_like(grad)
+    for i in range(n):
+        members = cols[indptr[i]:indptr[i + 1]]
+        p, g = pos[members], grad[members]
+        m_p, m_g = p.mean(axis=0), g.mean(axis=0)
+        dp, dg = p - m_p, g - m_g
+        s_pp = dp.T @ dp / len(members)
+        s_pg = dp.T @ dg / len(members)
+        system = s_pp + epsilon_hat * eye
+        eig = np.linalg.eigvalsh(system)
+        if not (eig[0] > 0 and eig[-1] / eig[0] <= 1e12):
+            system = system + (1e-8 * np.trace(s_pp) / dim + 1e-12) * eye
+        z = np.linalg.solve(system, pos[i] - m_p)
+        est[i] = m_g + s_pg.T @ z
+    return est
 
 
 def brute_clusters(points, epsilon):

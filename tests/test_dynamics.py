@@ -185,12 +185,14 @@ def test_run_rejects_non_finite_start():
         run(ens, L2, cfg())
 
 
-def test_divergence_raises_with_partial_diagnostics():
+@pytest.mark.parametrize("epsilon", [np.inf, 1e300])
+def test_divergence_raises_with_partial_diagnostics(epsilon):
     # the expanding mode of the two-particle system blows up under a huge
-    # step size; the solver must fail loudly and keep what it recorded
+    # step size; the solver must fail loudly and keep what it recorded.  At
+    # a huge finite epsilon the tree query overflows before the positions do.
     ens = new_ensemble(np.array([[-1.0], [1.0]]), np.array([[-2.0], [2.0]]))
     with pytest.raises(NonFiniteState) as info:
-        run(ens, L2, cfg(dt=1e3, max_steps=2000, gamma_rel=0.0))
+        run(ens, L2, cfg(epsilon=epsilon, dt=1e3, max_steps=2000, gamma_rel=0.0))
     assert len(info.value.partial_diagnostics) >= 1
 
 

@@ -9,6 +9,9 @@ from ocd import (
     new_ensemble,
     ocd_velocity,
 )
+from ocd.estimators import _linear_estimate
+
+from oracles import linear_estimate_loop
 
 L2 = l2_cost_model()
 
@@ -182,3 +185,33 @@ def test_linear_estimator_finite_on_random_inputs(n, dim, eps, eps_hat, seed):
     k_x, k_y = estimate_piecewise_linear(ens, L2, epsilon=eps, epsilon_hat=eps_hat)
     assert np.isfinite(k_x).all()
     assert np.isfinite(k_y).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_linear_estimate_matches_per_cluster_loop(dim, eps_hat, seed):
+    # random clusters of spread points, plus two groups of three exact
+    # duplicates on a quarter grid whose cluster means are exact: their
+    # covariance is zero, so at eps_hat = 0 they take the fallback ridge
+    rng = np.random.default_rng(seed)
+    n_spread = 30
+    dups = np.repeat(rng.integers(-4, 5, size=(2, dim)) / 4.0, 3, axis=0)
+    pos = np.vstack([rng.standard_normal((n_spread, dim)), dups])
+    grad = rng.standard_normal(pos.shape)
+    rows = []
+    for i in range(pos.shape[0]):
+        if i < n_spread:
+            size = rng.integers(4 * (dim + 1), n_spread)
+            rows.append(np.union1d(rng.choice(n_spread, size, replace=False), [i]))
+        else:
+            first = n_spread + 3 * ((i - n_spread) // 3)
+            rows.append(np.arange(first, first + 3))
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+    cols = np.concatenate(rows)
+    est = _linear_estimate(pos, grad, indptr, cols, eps_hat)
+    ref = linear_estimate_loop(pos, grad, indptr, cols, eps_hat)
+    np.testing.assert_allclose(est, ref, rtol=1e-12, atol=1e-12)

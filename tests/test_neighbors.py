@@ -14,7 +14,7 @@ from ocd import (
 )
 from ocd.neighbors import knn_query, nearest_neighbor_distances
 
-from oracles import brute_ball, brute_clusters
+from oracles import brute_ball, brute_clusters, neighbor_csr_lexsort
 
 
 def csr_row(indptr, cols, i):
@@ -88,6 +88,48 @@ def test_neighbor_csr_equals_brute_force(n, dim, eps, seed):
     indptr, cols = neighbor_csr(idx, eps)
     for i in range(n):
         assert csr_row(indptr, cols, i) == brute_ball(pts, i, eps)
+
+
+@st.composite
+def clouds(draw):
+    """(points, epsilon) with duplicates, exact ties, singletons or eps = inf."""
+    kind = draw(st.sampled_from(["uniform", "duplicates", "lattice", "singletons"]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    if kind == "uniform":
+        pts = rng.uniform(-2, 2, size=(n, dim))
+    elif kind == "duplicates":
+        base = rng.uniform(-2, 2, size=(max(1, n // 3), dim))
+        pts = base[rng.integers(0, base.shape[0], size=n)]
+    elif kind == "lattice":
+        # half-integer grid points: axis neighbours sit exactly eps = 0.5 apart
+        pts = rng.integers(0, 4, size=(n, dim)) * 0.5
+    else:
+        pts = np.zeros((n, dim))
+        pts[:, 0] = 10.0 * np.arange(n)
+    if kind == "lattice":
+        eps = draw(st.sampled_from([0.5, 1.0, np.inf]))
+    elif kind == "singletons":
+        eps = draw(st.sampled_from([1.0, np.inf]))
+    else:
+        eps = draw(st.one_of(st.floats(min_value=0.05, max_value=3.0), st.just(np.inf)))
+    return pts, eps
+
+
+@settings(max_examples=120, deadline=None)
+@given(clouds())
+def test_neighbor_csr_equals_lexsort_construction(cloud):
+    pts, eps = cloud
+    indptr, cols = neighbor_csr(build_index(pts), eps)
+    ref_indptr, ref_cols = neighbor_csr_lexsort(pts, eps)
+    np.testing.assert_array_equal(indptr, ref_indptr)
+    np.testing.assert_array_equal(cols, ref_cols)
+    assert indptr[-1] == cols.size
+    for i in range(pts.shape[0]):
+        row = cols[indptr[i]:indptr[i + 1]]
+        assert (np.diff(row) > 0).all()
+        assert i in row
 
 
 @settings(max_examples=40, deadline=None)
