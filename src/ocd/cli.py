@@ -76,8 +76,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("OCD_THREADS", "1")))
     parser.add_argument("--deterministic", action="store_true",
                         help="accepted for interface stability; runs are "
                              "always deterministic")
@@ -232,28 +230,48 @@ def cmd_color_transfer(args) -> int:
     return 0
 
 
+def _parse_rows(flag: str, spec: str) -> np.ndarray:
+    """Comma-separated numbers, rows joined by ';', as a 2-D array."""
+    try:
+        # ragged rows make np.array raise ValueError too
+        return np.array([[float(t) for t in row.split(",")] for row in spec.split(";")])
+    except ValueError:
+        raise InvalidConfig(
+            f"{flag} takes comma-separated numbers with rows joined by ';', "
+            f"got {spec!r}"
+        ) from None
+
+
 def cmd_sample(args) -> int:
+    if args.n < 0 or (args.dim is not None and args.dim < 1):
+        raise InvalidConfig(f"--n must be >= 0 and --dim >= 1, got {args.n} and {args.dim}")
+    dim = 2 if args.dim is None else args.dim
     if args.dist == "normal":
-        mean = np.array([float(t) for t in args.mean.split(",")]) \
-            if args.mean else np.zeros(args.dim)
-        if args.cov:
-            rows = [r.split(",") for r in args.cov.split(";")]
-            cov = np.array([[float(t) for t in r] for r in rows])
+        cov = _parse_rows("--cov", args.cov) if args.cov else None
+        if args.mean:
+            mean = _parse_rows("--mean", args.mean)
+            if mean.shape[0] != 1:
+                raise InvalidConfig(f"--mean takes one row, got {args.mean!r}")
+            mean = mean[0]
         else:
-            cov = np.eye(mean.size)
-        samples = sample_normal(args.n, mean, cov, seed=args.seed)
+            mean = np.zeros(dim if cov is None else cov.shape[0])
+        samples = sample_normal(args.n, mean, np.eye(mean.size) if cov is None else cov,
+                                seed=args.seed)
     elif args.dist == "banana":
         samples = sample_banana(args.n, seed=args.seed)
     elif args.dist == "funnel":
-        samples = sample_funnel(args.n, dim=args.dim, seed=args.seed)
+        samples = sample_funnel(args.n, dim=dim, seed=args.seed)
     elif args.dist == "swiss-roll":
         samples = sample_swiss_roll(args.n, seed=args.seed)
     else:
-        samples = sample_softmax_pushforward(args.n, dim=args.dim, seed=args.seed)
+        samples = sample_softmax_pushforward(args.n, dim=dim, seed=args.seed)
+    if args.dim is not None and args.dim != samples.shape[1]:
+        raise InvalidConfig(f"--dim {args.dim} disagrees with the {samples.shape[1]} "
+                            f"columns that --dist {args.dist} writes")
     ocd_io.write_samples_csv(samples, args.out_file)
     out = Path(args.out_file).resolve().parent
     _write_manifest(args, "sample", None, {}, out,
-                    extra={"dist": args.dist, "n": args.n, "dim": args.dim,
+                    extra={"dist": args.dist, "n": args.n, "dim": samples.shape[1],
                            "mean": args.mean, "cov": args.cov,
                            "out_file": str(args.out_file)})
     print(f"wrote {args.n} samples to {args.out_file}")
@@ -300,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist-matrix",
                        help="pairwise transport distances between datasets")
     p.add_argument("--inputs", nargs="+", required=True)
+    p.add_argument("--threads", type=int,
+                   default=int(os.environ.get("OCD_THREADS", "1")))
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_dist_matrix)
@@ -317,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True,
                    choices=list(SAMPLERS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None,
+                   help="columns to write (default 2, or the size of --mean/--cov)")
     p.add_argument("--mean", default=None, help="comma-separated values")
     p.add_argument("--cov", default=None, help="rows joined by ';'")
     p.add_argument("--seed", type=int, default=0)

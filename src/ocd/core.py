@@ -23,6 +23,10 @@ ESTIMATOR_LINEAR = "linear"
 STEPPER_EULER = "euler"
 STEPPER_RK4 = "rk4"
 
+# probe pairs and seed of custom_cost_model's finite-difference audit
+_AUDIT_PROBES = 100
+_AUDIT_SEED = 0
+
 
 @dataclass
 class ParticleEnsemble:
@@ -103,13 +107,11 @@ def custom_cost_model(
     dim: int,
     *,
     vectorized: bool = False,
-    n_probes: int = 100,
-    seed: int = 0,
 ) -> CostModel:
     """Wrap user-supplied cost callables after a finite-difference audit.
 
     The supplied gradients must reproduce central finite differences of the
-    cost to 1e-5 relative tolerance at ``n_probes`` random probe points;
+    cost to 1e-5 relative tolerance at _AUDIT_PROBES random probe points;
     otherwise InvalidConfig is raised.  Set ``vectorized=True`` when the
     callables already accept (M, n) batches.
     """
@@ -122,12 +124,12 @@ def custom_cost_model(
         gx = _batchify(grad_x, out_dim=1)
         gy = _batchify(grad_y, out_dim=1)
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_probes, dim))
-    y = rng.standard_normal((n_probes, dim))
+    rng = np.random.default_rng(_AUDIT_SEED)
+    x = rng.standard_normal((_AUDIT_PROBES, dim))
+    y = rng.standard_normal((_AUDIT_PROBES, dim))
     gx_val = np.asarray(gx(x, y), dtype=np.float64)
     gy_val = np.asarray(gy(x, y), dtype=np.float64)
-    if gx_val.shape != (n_probes, dim) or gy_val.shape != (n_probes, dim):
+    if gx_val.shape != (_AUDIT_PROBES, dim) or gy_val.shape != (_AUDIT_PROBES, dim):
         raise InvalidConfig("gradient callables must return one vector per pair")
 
     h = 1e-6

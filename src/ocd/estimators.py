@@ -13,11 +13,15 @@ model is the L2 projection of the gradient onto affine functions of X
 conditional-expectation formula applied to the cluster's joint sample, and
 it degrades gracefully: a singleton cluster returns its own gradient (zero
 velocity), and the infinite-ridge limit returns the cluster mean gradient.
+
+Both take their cluster statistics from one kernel, _cluster_mean; only the
+constant form under a custom cost sums per-pair gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .core import KIND_L2
 from .errors import NonFiniteResult, SingularSystem
@@ -32,6 +36,14 @@ def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, indptr[:-1], axis=0)
 
 
+def _cluster_mean(values: np.ndarray, indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per-cluster means of the (N, k) rows of ``values``: one sparse product
+    of the adjacency (ones over neighbor_csr's arrays), no per-pair array."""
+    n = indptr.shape[0] - 1
+    adjacency = csr_matrix((np.ones(cols.shape[0]), cols, indptr), shape=(n, n))
+    return (adjacency @ values) / np.diff(indptr)[:, None]
+
+
 def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y):
     """Cluster-average estimates (k_x, k_y).
 
@@ -41,20 +53,17 @@ def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y):
     x, y = ensemble.x_samples, ensemble.y_samples
     indptr_x, cols_x = csr_x
     indptr_y, cols_y = csr_y
-    cnt_x = np.diff(indptr_x)[:, None]
-    cnt_y = np.diff(indptr_y)[:, None]
     if cost.kind == KIND_L2:
         # mean_j 2(X_i - Y_j) = 2(X_i - mean_j Y_j), so only neighbor means
         # of the partner positions are needed
-        y_bar = _segment_sum(y[cols_x], indptr_x) / cnt_x
-        x_bar = _segment_sum(x[cols_y], indptr_y) / cnt_y
-        k_x = 2.0 * (x - y_bar)
-        k_y = 2.0 * (y - x_bar)
+        k_x = 2.0 * (x - _cluster_mean(y, indptr_x, cols_x))
+        k_y = 2.0 * (y - _cluster_mean(x, indptr_y, cols_y))
     else:
-        rows_x = np.repeat(np.arange(x.shape[0]), np.diff(indptr_x))
-        rows_y = np.repeat(np.arange(x.shape[0]), np.diff(indptr_y))
-        k_x = _segment_sum(cost.grad_x(x[rows_x], y[cols_x]), indptr_x) / cnt_x
-        k_y = _segment_sum(cost.grad_y(x[cols_y], y[rows_y]), indptr_y) / cnt_y
+        cnt_x, cnt_y = np.diff(indptr_x), np.diff(indptr_y)
+        rows_x = np.repeat(np.arange(x.shape[0]), cnt_x)
+        rows_y = np.repeat(np.arange(x.shape[0]), cnt_y)
+        k_x = _segment_sum(cost.grad_x(x[rows_x], y[cols_x]), indptr_x) / cnt_x[:, None]
+        k_y = _segment_sum(cost.grad_y(x[cols_y], y[rows_y]), indptr_y) / cnt_y[:, None]
     if not (np.isfinite(k_x).all() and np.isfinite(k_y).all()):
         raise NonFiniteResult("piecewise-constant estimate is not finite")
     return k_x, k_y
@@ -80,35 +89,28 @@ def _min_max_eig_sym(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[:, 0], w[:, -1]
 
 
-def _linear_estimate(
-    pos: np.ndarray,
-    grad: np.ndarray,
-    indptr: np.ndarray,
-    cols: np.ndarray,
-    epsilon_hat: float,
-) -> np.ndarray:
-    """Ridge regression of diagonal-pair gradients on position, per cluster."""
+def _linear_estimate(pos: np.ndarray, grad: np.ndarray, indptr: np.ndarray,
+                     cols: np.ndarray, epsilon_hat: float) -> np.ndarray:
+    """Ridge regression of diagonal-pair gradients on position, per cluster.
+
+    One _cluster_mean call averages [p, g, p p^T, p g^T], p and g being pos
+    and grad minus their global means.  The covariances are raw moments minus
+    products of means (s_pp = E[p p^T] - m_p m_p^T), so a cluster at distance
+    r from the global mean, of spread s, loses ~(r / s)**2 * 2**-52 in them.
+    """
     n_pts, dim = pos.shape
-    cnt = np.diff(indptr)
-    cntf = cnt[:, None].astype(np.float64)
-
-    # one gather per array, centred in place once the cluster means are known
-    dpos = pos[cols]
-    dgrad = grad[cols]
-    m_pos = _segment_sum(dpos, indptr) / cntf
-    m_grad = _segment_sum(dgrad, indptr) / cntf
-    dpos -= np.repeat(m_pos, cnt, axis=0)
-    dgrad -= np.repeat(m_grad, cnt, axis=0)
-
+    g_mean = grad.mean(axis=0)
+    p = pos - pos.mean(axis=0)
+    g = grad - g_mean
+    moments = _cluster_mean(
+        np.hstack([p, g, (p[:, :, None] * p[:, None, :]).reshape(n_pts, -1),
+                   (p[:, :, None] * g[:, None, :]).reshape(n_pts, -1)]),
+        indptr, cols,
+    )
+    m_p, m_g, e_pp, e_pg = np.split(moments, [dim, 2 * dim, 2 * dim + dim * dim], axis=1)
     # population-normalized covariance blocks, one per particle
-    s_pp = np.empty((n_pts, dim, dim))
-    s_pg = np.empty((n_pts, dim, dim))
-    for a in range(dim):
-        for b in range(a, dim):
-            s_pp[:, a, b] = _segment_sum(dpos[:, a] * dpos[:, b], indptr) / cnt
-            s_pp[:, b, a] = s_pp[:, a, b]
-        for b in range(dim):
-            s_pg[:, a, b] = _segment_sum(dpos[:, a] * dgrad[:, b], indptr) / cnt
+    s_pp = e_pp.reshape(n_pts, dim, dim) - m_p[:, :, None] * m_p[:, None, :]
+    s_pg = e_pg.reshape(n_pts, dim, dim) - m_p[:, :, None] * m_g[:, None, :]
 
     eye = np.eye(dim)
     system = s_pp + epsilon_hat * eye
@@ -117,19 +119,16 @@ def _linear_estimate(
         bad = ~np.isfinite(lo) | (lo <= 0) | (hi / lo > _COND_LIMIT)
     if bad.any():
         # fall back to a ridge scaled by the cluster covariance magnitude
-        tr = np.einsum("naa->n", s_pp)
-        ridge = 1e-8 * tr / dim + 1e-12
-        system = system.copy()
+        ridge = 1e-8 * np.einsum("naa->n", s_pp) / dim + 1e-12
         system[bad] += ridge[bad, None, None] * eye
 
-    rhs = pos - m_pos
     try:
-        z = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+        z = np.linalg.solve(system, (p - m_p)[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         if epsilon_hat == 0:
             raise SingularSystem(f"cluster covariance solve failed: {exc}") from exc
         raise NonFiniteResult(f"cluster covariance solve failed: {exc}") from exc
-    est = m_grad + np.einsum("nab,na->nb", s_pg, z)
+    est = g_mean + m_g + np.einsum("nab,na->nb", s_pg, z)
     if not np.isfinite(est).all():
         if epsilon_hat == 0:
             raise SingularSystem("regularized cluster solve produced non-finite values")

@@ -26,7 +26,10 @@ def sample_normal(n: int, mean, cov, seed: int = 0) -> np.ndarray:
             f"cov shape {cov.shape} incompatible with mean of size {mean.size}"
         )
     rng = np.random.default_rng(seed)
-    return rng.multivariate_normal(mean, cov, size=n, method="cholesky")
+    try:
+        return rng.multivariate_normal(mean, cov, size=n, method="cholesky")
+    except np.linalg.LinAlgError:
+        raise InvalidConfig(f"cov must be positive definite, got {cov.tolist()}") from None
 
 
 def sample_banana(n: int, seed: int = 0) -> np.ndarray:

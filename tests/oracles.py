@@ -71,6 +71,19 @@ def linear_estimate_loop(pos, grad, indptr, cols, epsilon_hat):
     return est
 
 
+def constant_estimate_l2_loop(x, y, csr_x, csr_y):
+    """L2 cluster-average estimates (k_x, k_y), one row at a time.
+
+    k_x[i] = 2 (X_i - mean of Y_j over the X-cluster of i), read directly
+    from the rows of the CSR arrays; k_y likewise with the roles swapped.
+    """
+    k_x, k_y = np.empty_like(x), np.empty_like(y)
+    for own, partner, (indptr, cols), k in ((x, y, csr_x, k_x), (y, x, csr_y, k_y)):
+        for i in range(own.shape[0]):
+            k[i] = 2.0 * (own[i] - partner[cols[indptr[i]:indptr[i + 1]]].mean(axis=0))
+    return k_x, k_y
+
+
 def brute_clusters(points, epsilon):
     """Connected components of the epsilon graph via union-find.
 

@@ -161,6 +161,59 @@ def test_sample_normal_flags(tmp_path):
     assert samples[:, 0].mean() == pytest.approx(3.0, abs=0.3)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--cov", "1,0;0,1;"],          # trailing row separator
+    ["--cov", "1,0;0"],             # ragged rows
+    ["--mean", "0,abc"],
+    ["--mean", "0;1"],              # a mean has one row
+    ["--cov", "1,2;2,1"],           # not positive definite
+    ["--n", "-1"],
+    ["--dim", "0"],
+])
+def test_sample_malformed_flags_exit_1(tmp_path, capsys, flags):
+    path = tmp_path / "n.csv"
+    code = main(["sample", "--dist", "normal", "--n", "5", *flags,
+                 "--out-file", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert "InvalidConfig" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("dist, flags, dim, written", [
+    ("banana", [], 3, 2),
+    ("swiss-roll", [], 3, 2),
+    ("normal", ["--mean", "0,0,0"], 2, 3),
+])
+def test_sample_dim_disagreeing_with_columns_exits_1(tmp_path, capsys, dist, flags, dim,
+                                                     written):
+    path = tmp_path / "s.csv"
+    code = main(["sample", "--dist", dist, "--n", "5", "--dim", str(dim), *flags,
+                 "--out-file", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "InvalidConfig" in err
+    assert f"--dim {dim}" in err and f"{written} columns" in err
+    assert not path.exists()
+
+
+def test_sample_manifest_records_written_dim(tmp_path):
+    path = tmp_path / "n.csv"
+    code = main(["sample", "--dist", "normal", "--n", "5", "--mean", "0,0,0",
+                 "--out-file", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    assert read_samples_csv(path).shape == (5, 3)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["extra"]["dim"] == 3
+
+
+def test_threads_flag_only_on_dist_matrix(clouds, tmp_path):
+    xp, yp = clouds
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--x", str(xp), "--y", str(yp), "--threads", "2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_dist_matrix_subcommand(tmp_path):
     rng = np.random.default_rng(1)
     paths = []

@@ -9,9 +9,10 @@ from ocd import (
     new_ensemble,
     ocd_velocity,
 )
-from ocd.estimators import _linear_estimate
+from ocd.estimators import _linear_estimate, _piecewise_constant_from_csr
+from ocd.neighbors import build_index, neighbor_csr
 
-from oracles import linear_estimate_loop
+from oracles import constant_estimate_l2_loop, linear_estimate_loop
 
 L2 = l2_cost_model()
 
@@ -215,3 +216,42 @@ def test_linear_estimate_matches_per_cluster_loop(dim, eps_hat, seed):
     est = _linear_estimate(pos, grad, indptr, cols, eps_hat)
     ref = linear_estimate_loop(pos, grad, indptr, cols, eps_hat)
     np.testing.assert_allclose(est, ref, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0.3, 1.0, np.inf]),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_l2_constant_estimate_matches_direct_partner_means(n, dim, eps, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, (n, dim))
+    y = rng.uniform(-2, 2, (n, dim))
+    csr_x = neighbor_csr(build_index(x), eps)
+    csr_y = neighbor_csr(build_index(y), eps)
+    k_x, k_y = _piecewise_constant_from_csr(new_ensemble(x, y), L2, csr_x, csr_y)
+    ref_x, ref_y = constant_estimate_l2_loop(x, y, csr_x, csr_y)
+    np.testing.assert_allclose(k_x, ref_x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(k_y, ref_y, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("eps_hat", [0.0, 1e-3])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_linear_estimate_precision_far_from_global_mean(dim, eps_hat, seed):
+    # two tight groups (spread 0.1) 1000 apart, one cluster each: every
+    # position lies 500 from the global mean, so the raw second moments
+    # cancel (500 / 0.1)**2 = 2.5e7 of their magnitude; the groups sit
+    # 1e4 from the origin, so moments not shifted by the global mean fail
+    rng = np.random.default_rng(seed)
+    pos = np.vstack([rng.normal(1e4, 0.1, (20, dim)),
+                     rng.normal(1.1e4, 0.1, (20, dim))])
+    grad = L2.grad_x(pos, rng.standard_normal(pos.shape))
+    indptr, cols = neighbor_csr(build_index(pos), 10.0)
+    assert np.diff(indptr).tolist() == [20] * 40
+    est = _linear_estimate(pos, grad, indptr, cols, eps_hat)
+    ref = linear_estimate_loop(pos, grad, indptr, cols, eps_hat)
+    np.testing.assert_allclose(est, ref, rtol=1e-9)
