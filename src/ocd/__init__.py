@@ -106,6 +106,7 @@ from .neighbors import (
     SpatialIndex,
     build_index,
     cluster_count_csr,
+    cluster_curve,
     neighbor_csr,
     radius_neighbors,
 )

@@ -33,7 +33,6 @@ from .dynamics import run
 from .emd import emd
 from .epsilon import (
     auto_epsilon,
-    count_clusters,
     default_epsilon_grid,
     epsilon_crit,
     epsilon_rule_of_thumb,
@@ -46,6 +45,7 @@ from .gaussian import (
     integrate_riccati,
     kappa_closed_form,
 )
+from .neighbors import build_index, cluster_curve
 from .samplers import (
     SAMPLERS,
     sample_banana,
@@ -88,8 +88,7 @@ def _resolve_epsilon(spec: str, x: np.ndarray, y: np.ndarray) -> float:
         return epsilon_rule_of_thumb(x.shape[1], x.shape[0])
     if spec == "crit":
         grid = default_epsilon_grid(x)
-        curve = [(e, count_clusters(x, e).n_clusters) for e in grid]
-        return epsilon_crit(curve).epsilon
+        return epsilon_crit(zip(grid, cluster_curve(build_index(x), grid))).epsilon
     try:
         return float(spec)
     except ValueError:

@@ -4,12 +4,18 @@ The cutoff ε is the solver's key hyper-parameter.  Three proxies are
 exposed: the β-rule (largest ε keeping the cluster/particle ratio above
 β), a dimensional rule of thumb, and a log-log knee detector on the
 cluster curve.  None is canonical; sweeps are the honest way to pick ε.
+
+The β-rule and the CLI's knee read the cluster count at every grid ε off
+one minimum spanning forest (``neighbors.cluster_curve``), not off one
+graph per grid point.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +32,8 @@ from .errors import (
 from .neighbors import (
     build_index,
     cluster_count_csr,
+    cluster_curve,
+    knn_query,
     nearest_neighbor_distances,
     neighbor_csr,
 )
@@ -66,8 +74,15 @@ def count_clusters(points, epsilon: float) -> ClusterReport:
 def epsilon_max(points, beta: float, grid) -> float:
     """Largest grid ε whose cluster/particle ratio stays above β.
 
-    The ratio is non-increasing in ε, so the ascending scan stops at the
-    first failure.
+    The ratio is non-increasing in ε, so the answer is the grid point
+    before the first failure.  The counts come from one spanning forest
+    (``cluster_curve``) over the grid cut where the ratio is sure to fail,
+    so that its one pair query stays near the answer: once ⌈(1-β)·N·m/(m-1)⌉
+    points each have m-1 others within ε, with m = ⌊1/β⌋ + 1, clusters of
+    at least m points hold the count to βN.  The cut is the first grid point
+    at or above that many points' (m-1)-th nearest-neighbour distance.
+    Should rounding leave a pair at exactly that distance out, every grid
+    point above it fails, so the answer is the same.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidConfig(f"beta must lie in (0, 1), got {beta}")
@@ -77,19 +92,19 @@ def epsilon_max(points, beta: float, grid) -> float:
     pts = _as_points(points)
     n = pts.shape[0]
     index = build_index(pts)
-    best = None
-    for eps in grid:
-        indptr, cols = neighbor_csr(index, eps)
-        n_clusters, _ = cluster_count_csr(indptr, cols)
-        if n_clusters / n > beta:
-            best = eps
-        else:
-            break
-    if best is None:
+    grid = np.array(grid)
+    m = int(1.0 / beta) + 1
+    if m <= n:
+        need = math.ceil((1 - Fraction(beta)) * n * m / (m - 1))
+        reach = np.sort(knn_query(index, index.points, k=m)[0][:, m - 1])[need - 1]
+        grid = grid[: np.searchsorted(grid, reach) + 1]
+    # a prefix of the grid, since the count never rises with ε
+    n_ok = int(np.count_nonzero(cluster_curve(index, grid) / n > beta))
+    if n_ok == 0:
         raise NoFeasibleEpsilon(
             f"no grid epsilon keeps n_clusters/n_particles above beta={beta}"
         )
-    return best
+    return float(grid[n_ok - 1])
 
 
 def default_epsilon_grid(points) -> np.ndarray:
@@ -204,11 +219,12 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
     rows = []
     for eps in grid:
         eps = float(eps)
-        config = replace(config_template, epsilon=eps)
+        config = replace(config_template, epsilon=eps, record_diagnostics=True)
         start = time.perf_counter()
         try:
             result = run(base.copy(), cost, config)
             final = result.final_ensemble
+            last = result.diagnostics[-1]  # recorded at the final positions
             ocd_pairs = np.hstack([final.x_samples, final.y_samples])
             rows.append(
                 SweepRow(
@@ -216,8 +232,8 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
                     final_cost=result.final_cost,
                     emd_cost=coupling.total_cost,
                     joint_distance=joint_distance(ocd_pairs, emd_pairs),
-                    n_clusters_x=count_clusters(final.x_samples, eps).n_clusters,
-                    n_clusters_y=count_clusters(final.y_samples, eps).n_clusters,
+                    n_clusters_x=last.n_clusters_x,
+                    n_clusters_y=last.n_clusters_y,
                     steps=final.step_index,
                     wall_time_ms=(time.perf_counter() - start) * 1e3,
                 )

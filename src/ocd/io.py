@@ -28,13 +28,16 @@ def _fmt(value: float) -> str:
 # sample matrices
 
 
-def write_samples_csv(matrix, path) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    header = ",".join(f"x{j + 1}" for j in range(m.shape[1]))
+def _write_csv(path, header: str, m: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in m:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in m.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def write_samples_csv(matrix, path) -> None:
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    _write_csv(path, ",".join(f"x{j + 1}" for j in range(m.shape[1])), m)
 
 
 def read_samples_csv(path) -> np.ndarray:
@@ -80,10 +83,7 @@ def write_pairs_csv(x_samples, y_samples, path) -> None:
     header = ",".join(
         [f"x{j + 1}" for j in range(n)] + [f"y{j + 1}" for j in range(n)]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for xr, yr in zip(x, y):
-            fh.write(",".join(_fmt(v) for v in list(xr) + list(yr)) + "\n")
+    _write_csv(path, header, np.hstack([x, y]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, identity
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -69,6 +69,25 @@ def radius_neighbors(index: SpatialIndex, query_row: int, epsilon: float) -> lis
     return hits
 
 
+def _pairs(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i < j of every pair within distance epsilon, as two int arrays.
+
+    Raises NonFiniteResult when the squared distances among finite points
+    overflow the float range, as on a diverging run.
+    """
+    if not np.isfinite(epsilon):
+        # an infinite cutoff joins every pair, so list them without the tree,
+        # which would overflow on a diverging state
+        return np.triu_indices(index.n_points, k=1)
+    try:
+        ii, jj = index._tree.query_pairs(r=float(epsilon), output_type="ndarray").T
+    except ValueError as exc:
+        # cKDTree refuses any query, whatever r, once the squared extent
+        # of the data overflows ("Encountering floating point overflow")
+        raise NonFiniteResult(f"squared point distances overflow: {exc}") from exc
+    return ii, jj
+
+
 def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """All-rows neighbor lists in CSR layout: (indptr, cols).
 
@@ -89,17 +108,7 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     if not epsilon > 0:
         raise InvalidConfig(f"epsilon must be > 0, got {epsilon}")
     n = index.n_points
-    if np.isfinite(epsilon):
-        try:
-            ii, jj = index._tree.query_pairs(r=float(epsilon), output_type="ndarray").T
-        except ValueError as exc:
-            # cKDTree refuses any query, whatever r, once the squared extent
-            # of the data overflows ("Encountering floating point overflow")
-            raise NonFiniteResult(f"squared point distances overflow: {exc}") from exc
-    else:
-        # an infinite cutoff joins every pair, so list them without the tree,
-        # which would overflow on a diverging state
-        ii, jj = np.triu_indices(n, k=1)
+    ii, jj = _pairs(index, epsilon)
     upper = coo_matrix(
         (np.ones(ii.shape[0], dtype=np.int8), (ii, jj)), shape=(n, n)
     ).tocsr()
@@ -131,16 +140,67 @@ def cluster_count_csr(indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.nda
     """Connected components of a neighbor graph in CSR form.
 
     Returns (n_components, labels); labels are numbered in order of each
-    component's smallest member index.
+    component's smallest member index, the order in which scipy's search
+    meets them.
     """
     n = indptr.shape[0] - 1
     graph = csr_matrix(
         (np.ones(cols.shape[0], dtype=np.int8), cols, indptr), shape=(n, n)
     )
     n_comp, labels = connected_components(graph, directed=False)
-    # renumber so that the component holding the smallest row index gets
-    # label 0, the next-smallest unseen component label 1, and so on
-    first_row = np.unique(labels, return_index=True)[1]
-    remap = np.empty(n_comp, dtype=labels.dtype)
-    remap[np.argsort(first_row, kind="stable")] = np.arange(n_comp, dtype=labels.dtype)
-    return int(n_comp), remap[labels]
+    return int(n_comp), labels
+
+
+def _squared_lengths(points: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Squared lengths of the pairs (ii, jj), summed as cKDTree sums them.
+
+    cKDTree keeps four running sums over whole blocks of four columns, adds
+    them in order, then adds the remaining columns one by one.  Summing the
+    same way makes ``length <= eps**2`` the tree's own verdict on ``<= eps``,
+    ties included.
+    """
+    def square(c):
+        col = points[:, c]
+        diff = col[ii] - col[jj]
+        diff *= diff
+        return diff
+
+    dim = points.shape[1]
+    whole = dim - dim % 4
+    if whole:
+        part = [square(c) for c in range(4)]
+        for c in range(4, whole):
+            part[c % 4] += square(c)
+        total = part[0] + part[1] + part[2] + part[3]
+    else:
+        total = np.zeros(ii.shape[0])
+    for c in range(whole, dim):
+        total += square(c)
+    return total
+
+
+def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
+    """Connected components of the ε-ball graph at each ε of ``grid``.
+
+    Equals ``cluster_count_csr(*neighbor_csr(index, eps))[0]`` for every eps
+    in the grid, from one pair query at the largest eps.  By Kruskal's
+    algorithm, a minimum spanning forest F of the graph at that eps answers
+    every smaller eps too: the graph at eps has N - #{edges of F no longer
+    than eps} components (single linkage is the minimum spanning tree).
+    The grid may be in any order; the result follows it.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0 or not (grid > 0).all():
+        raise InvalidConfig("grid must hold at least one epsilon, all > 0")
+    n = index.n_points
+    ii, jj = _pairs(index, grid.max())
+    lengths = _squared_lengths(index.points, ii, jj)
+    # csgraph reads a stored zero as no edge, so an exact duplicate pair
+    # stands in with the smallest positive length, still <= eps**2 for
+    # any eps above 1e-161
+    lengths[lengths == 0.0] = np.nextafter(0.0, 1.0)
+    graph = csr_matrix((lengths, (ii, jj)), shape=(n, n))
+    # free the pair list before the forest, the peak of the build
+    del ii, jj, lengths
+    forest = np.sort(minimum_spanning_tree(graph, overwrite=True).data)
+    return n - np.searchsorted(forest, grid * grid, side="right")

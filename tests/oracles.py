@@ -8,6 +8,8 @@ in the package is meaningful.
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ocd import NoFeasibleEpsilon, build_index, cluster_count_csr, neighbor_csr
+
 
 def brute_ball(points, query_row, epsilon):
     """Closed-ball neighbors by scanning every pairwise distance."""
@@ -113,6 +115,33 @@ def brute_clusters(points, epsilon):
             order[r] = len(order)
     labels = np.array([order[r] for r in roots], dtype=np.int64)
     return len(order), labels
+
+
+def epsilon_max_scan(points, beta, grid):
+    """The beta-rule by one neighbor graph per grid point.
+
+    Ascending scan that labels the components of the epsilon graph at each
+    grid point and stops at the first whose cluster/particle ratio is not
+    above beta.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    index = build_index(pts)
+    best = None
+    for eps in [float(g) for g in grid]:
+        indptr, cols = neighbor_csr(index, eps)
+        n_clusters, _ = cluster_count_csr(indptr, cols)
+        if n_clusters / n > beta:
+            best = eps
+        else:
+            break
+    if best is None:
+        raise NoFeasibleEpsilon(
+            f"no grid epsilon keeps n_clusters/n_particles above beta={beta}"
+        )
+    return best
 
 
 def hungarian_min_cost(cost_matrix):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from ocd import (
     CurveTooShort,
@@ -9,6 +11,8 @@ from ocd import (
     NoFeasibleEpsilon,
     SolverConfig,
     auto_epsilon,
+    build_index,
+    cluster_curve,
     count_clusters,
     default_epsilon_grid,
     epsilon_crit,
@@ -16,7 +20,11 @@ from ocd import (
     epsilon_rule_of_thumb,
     epsilon_sweep,
     l2_cost_model,
+    new_ensemble,
+    run,
 )
+
+from oracles import epsilon_max_scan
 
 
 def test_count_clusters_line_example():
@@ -55,6 +63,89 @@ def test_epsilon_max_validation():
         epsilon_max(pts, beta=0.9, grid=[])
     with pytest.raises(InvalidConfig):
         epsilon_max(pts, beta=0.9, grid=[1.0, 0.5])
+
+
+# distances between half-integer lattice points: 0.5, sqrt(2)/2, 1, sqrt(5)/2, ...
+LATTICE_TIES = [0.5 * np.sqrt(k) for k in (1, 2, 4, 5, 8, 9)]
+
+
+@st.composite
+def epsilon_cases(draw):
+    """(points, beta, grid) with ties at grid values, duplicates or few points."""
+    kind = draw(st.sampled_from(
+        ["uniform", "lattice", "duplicates", "single", "pair", "collinear"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    n = draw(st.integers(min_value=1, max_value=60))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    if kind == "uniform":
+        pts = rng.uniform(-2, 2, size=(n, dim))
+    elif kind == "lattice":
+        dim = draw(st.integers(min_value=1, max_value=5))
+        pts = rng.integers(0, 4, size=(n, dim)) * 0.5
+    elif kind == "duplicates":
+        base = rng.uniform(-2, 2, size=(max(1, n // 3), dim))
+        pts = base[rng.integers(0, base.shape[0], size=n)]
+    elif kind == "single":
+        pts = rng.uniform(-2, 2, size=(1, dim))
+    elif kind == "pair":
+        pts = rng.uniform(-2, 2, size=(2, dim))
+    else:
+        pts = np.outer(rng.uniform(-2, 2, size=n), rng.standard_normal(2))
+    if kind == "lattice":
+        extra = draw(st.lists(st.sampled_from([0.25, 0.6, 2.0, 3.0]), max_size=2))
+        grid = sorted(set(LATTICE_TIES + extra))
+    else:
+        grid = np.sort(rng.uniform(0.01, 4.0, size=draw(st.integers(1, 20))))
+        grid = sorted(set(grid.tolist()))
+    beta = draw(st.sampled_from([0.05, 0.2, 1 / 3, 0.45, 0.5, 0.55, 0.75, 0.9, 0.99]))
+    return pts, beta, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(epsilon_cases())
+def test_epsilon_max_equals_grid_scan(case):
+    pts, beta, grid = case
+    try:
+        expected = epsilon_max_scan(pts, beta, grid)
+    except NoFeasibleEpsilon:
+        with pytest.raises(NoFeasibleEpsilon):
+            epsilon_max(pts, beta, grid)
+    else:
+        assert epsilon_max(pts, beta, grid) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(epsilon_cases())
+def test_cluster_curve_equals_count_per_grid_point(case):
+    pts, _, grid = case
+    curve = cluster_curve(build_index(pts), grid)
+    assert curve.tolist() == [count_clusters(pts, e).n_clusters for e in grid]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_cluster_curve_at_the_tree_distances(n, dim, seed):
+    # grid points on the tree's own pair distances and one ulp either side,
+    # where the rounding of each squared length decides membership
+    pts = np.random.default_rng(seed).standard_normal((n, dim))
+    dist = cKDTree(pts).query(pts, k=min(n, 4))[0][:, 1:].ravel()
+    grid = np.unique(np.concatenate(
+        [dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf)]
+    ))
+    curve = cluster_curve(build_index(pts), grid)
+    assert curve.tolist() == [count_clusters(pts, e).n_clusters for e in grid]
+
+
+def test_cluster_curve_validation():
+    index = build_index(np.zeros((3, 1)))
+    for grid in ([], [0.0, 1.0], [np.nan]):
+        with pytest.raises(InvalidConfig):
+            cluster_curve(index, grid)
 
 
 def test_default_grid_spans_data_scales():
@@ -134,7 +225,10 @@ def test_sweep_shares_initial_reference():
         assert not row.failed
         assert np.isfinite(row.final_cost) and np.isfinite(row.joint_distance)
         assert row.steps > 0 and row.wall_time_ms >= 0.0
-        assert row.n_clusters_x >= 1 and row.n_clusters_y >= 1
+        final = run(new_ensemble(x, y), l2_cost_model(),
+                    dataclasses.replace(cfg, epsilon=row.epsilon)).final_ensemble
+        assert row.n_clusters_x == count_clusters(final.x_samples, row.epsilon).n_clusters
+        assert row.n_clusters_y == count_clusters(final.y_samples, row.epsilon).n_clusters
 
 
 def test_sweep_records_failed_row_and_continues():

@@ -84,6 +84,18 @@ def test_pairs_csv_header_and_values(tmp_path):
     assert lines[1] == "1.0,2.0,3.0,4.0"
 
 
+def test_csv_bytes_are_shortest_repr(tmp_path):
+    x = np.array([[-0.0, 5e-324], [1e300, 3.0]])
+    y = np.array([[-2.0, 0.1], [1e-17, -1e16]])
+    samples, pairs = tmp_path / "s.csv", tmp_path / "p.csv"
+    write_samples_csv(x, samples)
+    write_pairs_csv(x, y, pairs)
+    assert samples.read_bytes() == b"x1,x2\n-0.0,5e-324\n1e+300,3.0\n"
+    assert pairs.read_bytes() == (
+        b"x1,x2,y1,y2\n-0.0,5e-324,-2.0,0.1\n1e+300,3.0,1e-17,-1e+16\n"
+    )
+
+
 def test_diagnostics_jsonl_schema(tmp_path):
     d = StepDiagnostics(
         step_index=3, time=0.3, transport_cost=1.25,
