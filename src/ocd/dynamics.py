@@ -152,32 +152,32 @@ def run(ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig) -> Ru
     diagnostics: list[StepDiagnostics] = []
     start_step = ensemble.step_index
 
-    csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
-    cost_now = _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics)
-    history = [cost_now]
+    try:
+        csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
+        cost_now = _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics)
+        history = [cost_now]
 
-    while True:
-        steps_taken = ensemble.step_index - start_step
-        if cost_now <= config.gamma_abs:
-            termination = TERM_COST_BELOW_GAMMA
-            break
-        if steps_taken >= config.stagnation_window:
-            prior = history[steps_taken - config.stagnation_window]
-            if abs(cost_now - prior) <= config.gamma_rel * max(cost_now, 1e-12):
-                termination = TERM_STAGNATED
+        while True:
+            steps_taken = ensemble.step_index - start_step
+            if cost_now <= config.gamma_abs:
+                termination = TERM_COST_BELOW_GAMMA
                 break
-        if steps_taken >= config.max_steps:
-            termination = TERM_MAX_STEPS
-            break
-        try:
+            if steps_taken >= config.stagnation_window:
+                prior = history[steps_taken - config.stagnation_window]
+                if abs(cost_now - prior) <= config.gamma_rel * max(cost_now, 1e-12):
+                    termination = TERM_STAGNATED
+                    break
+            if steps_taken >= config.max_steps:
+                termination = TERM_MAX_STEPS
+                break
             _advance(ensemble, cost, config, csrs, diagnostics)
             csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
-        except NonFiniteResult as exc:
-            # finite inputs gave a non-finite result: the state has left the
-            # float range, e.g. squared pair distances overflow in the tree
-            raise NonFiniteState(f"particle state diverged: {exc}", diagnostics) from exc
-        cost_now = _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics)
-        history.append(cost_now)
+            cost_now = _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics)
+            history.append(cost_now)
+    except NonFiniteResult as exc:
+        # finite inputs gave a non-finite result: the state has left the
+        # float range, e.g. squared pair distances overflow in the tree
+        raise NonFiniteState(f"particle state diverged: {exc}", diagnostics) from exc
 
     return RunResult(
         final_ensemble=ensemble,

@@ -38,8 +38,14 @@ def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 def _cluster_mean(values: np.ndarray, indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Per-cluster means of the (N, k) rows of ``values``: one sparse product
-    of the adjacency (ones over neighbor_csr's arrays), no per-pair array."""
+    of the adjacency (ones over neighbor_csr's arrays), no per-pair array.
+
+    A graph with N**2 entries is complete, so every cluster mean is the
+    column mean, broadcast to every row (a read-only view) in O(N k).
+    """
     n = indptr.shape[0] - 1
+    if cols.shape[0] == n * n:
+        return np.broadcast_to(values.mean(axis=0), values.shape)
     adjacency = csr_matrix((np.ones(cols.shape[0]), cols, indptr), shape=(n, n))
     return (adjacency @ values) / np.diff(indptr)[:, None]
 

@@ -76,8 +76,8 @@ def _pairs(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.ndarray]
     overflow the float range, as on a diverging run.
     """
     if not np.isfinite(epsilon):
-        # an infinite cutoff joins every pair, so list them without the tree,
-        # which would overflow on a diverging state
+        # cluster_curve's infinite grid value joins every pair, so list them
+        # without the tree, which would overflow on a diverging state
         return np.triu_indices(index.n_points, k=1)
     try:
         ii, jj = index._tree.query_pairs(r=float(epsilon), output_type="ndarray").T
@@ -95,19 +95,35 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     always containing i.  This is the bulk form of radius_neighbors used by
     the estimators; both produce the same closed-ball sets.
 
-    The build is O(nnz) after the pair query: a counting sort of the
-    upper-triangle pairs into CSR, then the canonical sum of that matrix,
-    its transpose and the identity, which keeps every row's columns
-    ascending.  Both arrays are scipy's own index arrays, so their dtype is
-    scipy's index dtype: int32 while the graph has fewer than 2**31 entries,
-    int64 beyond.
+    When epsilon exceeds the bounding-box diagonal of the points by a
+    relative margin of 1e-12 per dimension, the complete graph is returned
+    without a pair query.  The condition is sufficient, not necessary: no
+    pair is farther apart than the diagonal, and the margin is far above
+    the rounding of a squared sum of dim terms (about 2 * dim * 2**-53
+    relative), so the tree would keep every pair too; inside the margin
+    the tree decides.
+
+    Otherwise the build is O(nnz) after the pair query: a counting sort of
+    the upper-triangle pairs into CSR, then the canonical sum of that
+    matrix, its transpose and the identity, which keeps every row's
+    columns ascending.  Either way both arrays have scipy's index dtype:
+    int32 while the graph has fewer than 2**31 entries, int64 beyond.
 
     Raises NonFiniteResult when the squared distances among finite points
-    overflow the float range, as on a diverging run.
+    overflow the float range, as on a diverging run; at epsilon = inf the
+    complete graph is returned instead.
     """
     if not epsilon > 0:
         raise InvalidConfig(f"epsilon must be > 0, got {epsilon}")
     n = index.n_points
+    with np.errstate(over="ignore"):
+        # the tree holds the bounding box; a squared extent that overflows
+        # makes the diagonal inf, which only an infinite epsilon clears
+        extent = index._tree.maxes - index._tree.mins
+        diagonal = np.sqrt(np.dot(extent, extent))
+    if epsilon >= diagonal * (1.0 + 1e-12 * extent.shape[0]):
+        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        return np.arange(0, n * n + 1, n, dtype=dtype), np.tile(np.arange(n, dtype=dtype), n)
     ii, jj = _pairs(index, epsilon)
     upper = coo_matrix(
         (np.ones(ii.shape[0], dtype=np.int8), (ii, jj)), shape=(n, n)
@@ -141,9 +157,12 @@ def cluster_count_csr(indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.nda
 
     Returns (n_components, labels); labels are numbered in order of each
     component's smallest member index, the order in which scipy's search
-    meets them.
+    meets them.  A graph with N**2 entries is complete (rows hold no
+    duplicates), so it is one component, read off without a search.
     """
     n = indptr.shape[0] - 1
+    if cols.shape[0] == n * n:
+        return 1, np.zeros(n, dtype=np.int32)
     graph = csr_matrix(
         (np.ones(cols.shape[0], dtype=np.int8), cols, indptr), shape=(n, n)
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,36 @@ def test_divergence_raises_with_partial_diagnostics(epsilon):
     with pytest.raises(NonFiniteState) as info:
         run(ens, L2, cfg(epsilon=epsilon, dt=1e3, max_steps=2000, gamma_rel=0.0))
     assert len(info.value.partial_diagnostics) >= 1
+
+
+@pytest.mark.parametrize("epsilon", [1.0, np.inf])
+def test_overflowing_initial_extent_raises_non_finite_state(epsilon):
+    # finite positions whose pair distances overflow: at eps = 1 the first
+    # graph build fails, at eps = inf the first transport cost; both before
+    # any record is taken
+    x = np.array([[-1e308], [1e308]])
+    with pytest.raises(NonFiniteState) as info:
+        run(new_ensemble(x, -x), L2, cfg(epsilon=epsilon))
+    assert info.value.partial_diagnostics == []
+
+
+def test_dense_step_memory_is_linear_beside_the_column_array():
+    # one linear Euler step at eps = inf holds at most four N**2 int32
+    # column arrays (one per marginal, at the step start and rebuilt); the
+    # pair query and its sparse sums took about 8x one array
+    n = 2048
+    rng = np.random.default_rng(9)
+    ens = new_ensemble(rng.standard_normal((n, 3)), rng.standard_normal((n, 3)))
+    config = SolverConfig(epsilon=np.inf, estimator="linear", stepper="euler", dt=0.1,
+                          max_steps=1, gamma_abs=0.0, gamma_rel=0.0)
+    tracemalloc.start()
+    try:
+        run(ens, L2, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.step_index == 1
+    assert peak < 5 * 4 * n * n
 
 
 def test_rk4_stages_recluster_at_stage_positions():

@@ -1,17 +1,24 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ocd import (
     EmptyInput,
     IndexOutOfRange,
     InvalidConfig,
     NonFiniteInput,
+    NonFiniteResult,
     build_index,
     cluster_count_csr,
     neighbor_csr,
     radius_neighbors,
 )
+from ocd.estimators import _cluster_mean
 from ocd.neighbors import knn_query, nearest_neighbor_distances
 
 from oracles import brute_ball, brute_clusters, neighbor_csr_lexsort
@@ -154,6 +161,116 @@ def test_neighbor_relation_is_symmetric():
     indptr, cols = neighbor_csr(idx, 0.8)
     rows = {(i, j) for i in range(30) for j in csr_row(indptr, cols, i)}
     assert rows == {(j, i) for i, j in rows}
+
+
+# box extents, in half units, whose diagonal is a whole number of half units
+PYTHAGOREAN = {
+    1: [(1,), (3,)],
+    2: [(3, 4), (6, 8)],
+    3: [(1, 2, 2), (2, 3, 6)],
+    4: [(1, 1, 1, 1), (1, 1, 3, 5)],
+    5: [(2, 2, 2, 2, 3), (1, 1, 3, 3, 4)],
+}
+
+
+@st.composite
+def lattice_boxes(draw, exact=None):
+    """(points, exact): a half-integer lattice cloud holding two opposite
+    corners of its bounding box, whose diagonal is then a pair distance.
+    ``exact`` boxes have a diagonal the float sqrt gives without rounding."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=30))
+    if exact is None:
+        exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    if exact:
+        halves = np.array(draw(st.sampled_from(PYTHAGOREAN[dim])))
+    else:
+        halves = rng.integers(1, 5, size=dim)
+    low = rng.integers(-8, 8, size=dim) * 0.5
+    pts = low + rng.integers(0, halves + 1, size=(n, dim)) * 0.5
+    pts[rng.permutation(n)[:2]] = [low, low + 0.5 * halves]
+    return pts, exact
+
+
+def _diagonal(pts):
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    return np.sqrt(np.dot(extent, extent))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_boxes(), st.integers(min_value=0, max_value=5))
+def test_neighbor_csr_at_the_bounding_box_diagonal(box, which):
+    # epsilon one ulp below, at and above the diagonal (the tree decides),
+    # then one ulp below, at and above the complete-graph margin
+    pts, exact = box
+    n, dim = pts.shape
+    diag = _diagonal(pts)
+    cut = diag * (1.0 + 1e-12 * dim)
+    eps = [np.nextafter(diag, 0.0), diag, np.nextafter(diag, np.inf),
+           np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)][which]
+    index = build_index(pts)
+    if eps >= cut:
+        # past the margin no pair query runs
+        with mock.patch("ocd.neighbors._pairs", side_effect=AssertionError("pair query")):
+            indptr, cols = neighbor_csr(index, eps)
+        assert cols.size == n * n
+    else:
+        indptr, cols = neighbor_csr(index, eps)
+    assert indptr.dtype == np.int32 and cols.dtype == np.int32
+    ref_indptr, ref_cols = neighbor_csr_lexsort(pts, eps)
+    np.testing.assert_array_equal(indptr, ref_indptr)
+    np.testing.assert_array_equal(cols, ref_cols)
+    for i in range(n):
+        row = cols[indptr[i]:indptr[i + 1]]
+        assert (np.diff(row) > 0).all()
+        if exact:
+            # an exact diagonal is a tie both the tree and the scan resolve alike
+            assert row.tolist() == brute_ball(pts, i, eps)
+    if exact and eps >= diag:
+        assert cols.size == n * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_boxes(exact=True), st.integers(min_value=0, max_value=2**31))
+def test_complete_graph_consumers_agree_on_both_paths(box, seed):
+    # at the exact diagonal the pair query builds the complete graph; at
+    # eps = inf the shortcut does; the components and cluster means of both
+    # must equal the generic answers
+    pts, _ = box
+    n = pts.shape[0]
+    index = build_index(pts)
+    queried, shortcut = neighbor_csr(index, _diagonal(pts)), neighbor_csr(index, np.inf)
+    for a, b in zip(queried, shortcut):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
+    indptr, cols = queried
+    ref_count, ref_labels = connected_components(
+        csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n)), directed=False)
+    for graph in (queried, shortcut):
+        count, labels = cluster_count_csr(*graph)
+        assert count == ref_count == 1
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert labels.dtype == ref_labels.dtype
+    values = np.random.default_rng(seed).standard_normal((n, 4)) + pts[:, :1]
+    ref = np.array([values[cols[indptr[i]:indptr[i + 1]]].mean(axis=0) for i in range(n)])
+    scale = np.abs(ref).max()
+    for graph in (queried, shortcut):
+        assert np.abs(_cluster_mean(values, *graph) - ref).max() <= 1e-15 * scale
+
+
+def test_neighbor_csr_on_an_overflowing_extent():
+    # the squared extent overflows: a finite cutoff cannot be decided, an
+    # infinite one still joins every pair, and neither warns
+    index = build_index(np.array([[-1e308], [1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (1.0, 1e300):
+            with pytest.raises(NonFiniteResult):
+                neighbor_csr(index, eps)
+        indptr, cols = neighbor_csr(index, np.inf)
+    np.testing.assert_array_equal(indptr, [0, 2, 4])
+    np.testing.assert_array_equal(cols, [0, 1, 0, 1])
 
 
 def test_cluster_count_csr_matches_union_find():
