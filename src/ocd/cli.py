@@ -150,7 +150,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep_eps(args) -> int:
     x = ocd_io.read_samples_csv(args.x)
     y = ocd_io.read_samples_csv(args.y)
-    grid = [float(tok) for tok in args.grid.split(",")]
+    grid = _parse_rows("--grid", args.grid, one_row=True).tolist()
     config = _make_config(args, grid[0])
     rows = epsilon_sweep(x, y, l2_cost_model(), config, grid)
     out = _out_dir(args)
@@ -229,16 +229,19 @@ def cmd_color_transfer(args) -> int:
     return 0
 
 
-def _parse_rows(flag: str, spec: str) -> np.ndarray:
-    """Comma-separated numbers, rows joined by ';', as a 2-D array."""
+def _parse_rows(flag: str, spec: str, one_row: bool = False) -> np.ndarray:
+    """Comma-separated numbers, rows joined by ';', as a 2-D array (1-D for one_row)."""
     try:
         # ragged rows make np.array raise ValueError too
-        return np.array([[float(t) for t in row.split(",")] for row in spec.split(";")])
+        rows = np.array([[float(t) for t in row.split(",")] for row in spec.split(";")])
     except ValueError:
         raise InvalidConfig(
             f"{flag} takes comma-separated numbers with rows joined by ';', "
             f"got {spec!r}"
         ) from None
+    if one_row and rows.shape[0] != 1:
+        raise InvalidConfig(f"{flag} takes one row, got {spec!r}")
+    return rows[0] if one_row else rows
 
 
 def cmd_sample(args) -> int:
@@ -248,10 +251,7 @@ def cmd_sample(args) -> int:
     if args.dist == "normal":
         cov = _parse_rows("--cov", args.cov) if args.cov else None
         if args.mean:
-            mean = _parse_rows("--mean", args.mean)
-            if mean.shape[0] != 1:
-                raise InvalidConfig(f"--mean takes one row, got {args.mean!r}")
-            mean = mean[0]
+            mean = _parse_rows("--mean", args.mean, one_row=True)
         else:
             mean = np.zeros(dim if cov is None else cov.shape[0])
         samples = sample_normal(args.n, mean, np.eye(mean.size) if cov is None else cov,

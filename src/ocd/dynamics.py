@@ -86,11 +86,11 @@ def ocd_velocity(
     return VelocityBatch(v_x=v_x, v_y=v_y)
 
 
-def _advance(ensemble, cost, config, csrs, diagnostics):
-    """One step of the configured stepper, in place, from step-start clusters."""
+def _advance(ensemble, cost, config, k1, diagnostics):
+    """One step of the configured stepper, in place, from step-start velocities."""
     x, y = ensemble.x_samples, ensemble.y_samples
     dt = config.dt
-    k1x, k1y = _velocities_at(x, y, cost, config, csrs)
+    k1x, k1y = k1
     if config.stepper == STEPPER_EULER:
         x += dt * k1x
         y += dt * k1y
@@ -170,7 +170,9 @@ def run(ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig) -> Ru
             if steps_taken >= config.max_steps:
                 termination = TERM_MAX_STEPS
                 break
-            _advance(ensemble, cost, config, csrs, diagnostics)
+            k1 = _velocities_at(ensemble.x_samples, ensemble.y_samples, cost, config, csrs)
+            del csrs  # freed before the RK stages and the next step build theirs
+            _advance(ensemble, cost, config, k1, diagnostics)
             csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
             cost_now = _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics)
             history.append(cost_now)

@@ -34,7 +34,6 @@ from .neighbors import (
     cluster_count_csr,
     cluster_curve,
     knn_query,
-    nearest_neighbor_distances,
     neighbor_csr,
 )
 
@@ -71,7 +70,7 @@ def count_clusters(points, epsilon: float) -> ClusterReport:
     return ClusterReport(epsilon=float(epsilon), n_clusters=n_clusters, cluster_labels=labels)
 
 
-def epsilon_max(points, beta: float, grid) -> float:
+def epsilon_max(points, beta: float, grid=None) -> float:
     """Largest grid ε whose cluster/particle ratio stays above β.
 
     The ratio is non-increasing in ε, so the answer is the grid point
@@ -83,20 +82,25 @@ def epsilon_max(points, beta: float, grid) -> float:
     at or above that many points' (m-1)-th nearest-neighbour distance.
     Should rounding leave a pair at exactly that distance out, every grid
     point above it fails, so the answer is the same.
+
+    ``grid=None`` takes the default grid, read off the same KD-tree and
+    nearest-neighbour query as the cut; ``cluster_curve`` reuses the tree.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidConfig(f"beta must lie in (0, 1), got {beta}")
-    grid = [float(g) for g in grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidConfig("grid must be non-empty and strictly ascending")
-    pts = _as_points(points)
-    n = pts.shape[0]
-    index = build_index(pts)
-    grid = np.array(grid)
+    if grid is not None:
+        grid = np.array([float(g) for g in grid])
+        if not grid.size or (grid[1:] <= grid[:-1]).any():
+            raise InvalidConfig("grid must be non-empty and strictly ascending")
+    index = build_index(_as_points(points))
+    n = index.n_points
     m = int(1.0 / beta) + 1
+    dist = knn_query(index, index.points, k=min(m, n))[0]
+    if grid is None:
+        grid = _grid_from(index, dist[:, 1]) if n > 1 else np.array([1.0])
     if m <= n:
         need = math.ceil((1 - Fraction(beta)) * n * m / (m - 1))
-        reach = np.sort(knn_query(index, index.points, k=m)[0][:, m - 1])[need - 1]
+        reach = np.sort(dist[:, m - 1])[need - 1]
         grid = grid[: np.searchsorted(grid, reach) + 1]
     # a prefix of the grid, since the count never rises with ε
     n_ok = int(np.count_nonzero(cluster_curve(index, grid) / n > beta))
@@ -107,26 +111,10 @@ def epsilon_max(points, beta: float, grid) -> float:
     return float(grid[n_ok - 1])
 
 
-def default_epsilon_grid(points) -> np.ndarray:
-    """Geometric candidate grid from the data's own scales.
-
-    Spans from below the smallest nearest-neighbour gap (where every point
-    is its own cluster) up to the bounding-box diagonal (one giant
-    cluster).  Point count adapts to keep roughly factor-1.8 resolution.
-    """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    if n < 2:
-        return np.array([1.0])
-    if n > 500_000:
-        rng = np.random.default_rng(0)
-        pts_nn = pts[rng.choice(n, size=500_000, replace=False)]
-    else:
-        pts_nn = pts
-    nn = nearest_neighbor_distances(build_index(pts_nn))
+def _grid_from(index, nn) -> np.ndarray:
+    """The default grid over the indexed points, nn their nearest-neighbour gaps."""
     nn = nn[nn > 0]
-    span = pts.max(axis=0) - pts.min(axis=0)
-    hi = float(np.linalg.norm(span))
+    hi = float(np.linalg.norm(index.extent))
     if hi <= 0.0:
         hi = 1.0
     if nn.size:
@@ -139,13 +127,23 @@ def default_epsilon_grid(points) -> np.ndarray:
     return np.geomspace(lo, hi, n_points)
 
 
+def default_epsilon_grid(points) -> np.ndarray:
+    """Geometric candidate grid from the data's own scales.
+
+    Spans from below the smallest nearest-neighbour gap over all points
+    (every point its own cluster) up to the bounding-box diagonal the
+    KD-tree stores (one giant cluster), at roughly factor-1.8 resolution.
+    """
+    pts = _as_points(points)
+    if pts.shape[0] < 2:
+        return np.array([1.0])
+    index = build_index(pts)
+    return _grid_from(index, knn_query(index, index.points, k=2)[0][:, 1])
+
+
 def auto_epsilon(x_points, y_points, beta: float = 0.9, grid=None) -> float:
     """β-rule cutoff: computed on each marginal separately, the smaller wins."""
-    results = []
-    for pts in (x_points, y_points):
-        g = default_epsilon_grid(pts) if grid is None else grid
-        results.append(epsilon_max(pts, beta, g))
-    return min(results)
+    return min(epsilon_max(pts, beta, grid) for pts in (x_points, y_points))
 
 
 def epsilon_rule_of_thumb(dim: int, n_particles: int) -> float:

@@ -39,6 +39,11 @@ class SpatialIndex:
     def n_points(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def extent(self) -> np.ndarray:
+        """Side lengths of the points' bounding box, as the tree stores it."""
+        return self._tree.maxes - self._tree.mins
+
 
 def build_index(points) -> SpatialIndex:
     """Build a radius-query index over the rows of ``points``."""
@@ -119,7 +124,7 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     with np.errstate(over="ignore"):
         # the tree holds the bounding box; a squared extent that overflows
         # makes the diagonal inf, which only an infinite epsilon clears
-        extent = index._tree.maxes - index._tree.mins
+        extent = index.extent
         diagonal = np.sqrt(np.dot(extent, extent))
     if epsilon >= diagonal * (1.0 + 1e-12 * extent.shape[0]):
         dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
@@ -142,14 +147,6 @@ def knn_query(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndar
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     dist, idx = index._tree.query(q, k=k)
     return dist.reshape(q.shape[0], k), idx.reshape(q.shape[0], k)
-
-
-def nearest_neighbor_distances(index: SpatialIndex) -> np.ndarray:
-    """Distance from each point to its closest other point."""
-    if index.n_points < 2:
-        return np.zeros(index.n_points)
-    dist, _ = knn_query(index, index.points, k=2)
-    return dist[:, 1]
 
 
 def cluster_count_csr(indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:

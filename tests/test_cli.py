@@ -137,6 +137,17 @@ def test_sweep_eps_csv(clouds, tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["0.1", "0.5"]
 
 
+@pytest.mark.parametrize("grid", ["0.5,abc", "", "0.1;0.5"])
+def test_sweep_eps_rejects_malformed_grid(clouds, tmp_path, capsys, grid):
+    xp, yp = clouds
+    code = main(["sweep-eps", "--x", str(xp), "--y", str(yp),
+                 "--grid", grid, "--out", str(tmp_path / "sweep")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "InvalidConfig" in err and "--grid" in err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sample_subcommand_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

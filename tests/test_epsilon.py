@@ -179,6 +179,78 @@ def test_auto_epsilon_keeps_both_marginals_resolved():
         assert ratio > 0.9
 
 
+@st.composite
+def default_grid_clouds(draw):
+    """Points in d = 1..5 with duplicates, few points or a collinear 2-D cloud."""
+    kind = draw(st.sampled_from(
+        ["uniform", "lattice", "duplicates", "identical", "single", "pair", "collinear"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    n = draw(st.integers(min_value=3, max_value=80))
+    dim = draw(st.integers(min_value=1, max_value=5))
+    if kind == "uniform":
+        return rng.uniform(-2, 2, size=(n, dim))
+    if kind == "lattice":
+        return rng.integers(0, 4, size=(n, dim)) * 0.5
+    if kind == "duplicates":
+        base = rng.uniform(-2, 2, size=(max(1, n // 3), dim))
+        return base[rng.integers(0, base.shape[0], size=n)]
+    if kind == "identical":
+        return np.repeat(rng.uniform(-2, 2, size=(1, dim)), n, axis=0)
+    if kind == "single":
+        return rng.uniform(-2, 2, size=(1, dim))
+    if kind == "pair":
+        return rng.uniform(-2, 2, size=(2, dim))
+    return np.outer(rng.uniform(-2, 2, size=n), rng.standard_normal(2))
+
+
+def _feasible(resolve):
+    try:
+        return resolve()
+    except NoFeasibleEpsilon:
+        return None
+
+
+BETAS = st.sampled_from([0.05, 0.2, 1 / 3, 0.45, 0.5, 0.55, 0.75, 0.9, 0.99])
+
+
+@settings(max_examples=300, deadline=None)
+@given(default_grid_clouds(), default_grid_clouds(), BETAS)
+def test_epsilon_max_default_grid_is_default_epsilon_grid(x, y, beta):
+    # grid=None reads the default grid off the tree and the query of the cut;
+    # the answer must be the one on the grid that default_epsilon_grid builds
+    per_marginal = []
+    for pts in (x, y):
+        eps = _feasible(lambda: epsilon_max(pts, beta))
+        assert eps == _feasible(lambda: epsilon_max(pts, beta, default_epsilon_grid(pts)))
+        per_marginal.append(eps)
+    if None in per_marginal:
+        with pytest.raises(NoFeasibleEpsilon):
+            auto_epsilon(x, y, beta)
+    else:
+        assert auto_epsilon(x, y, beta) == min(per_marginal)
+
+
+def test_auto_epsilon_builds_one_tree_and_one_query_per_marginal(monkeypatch):
+    import ocd.epsilon
+
+    calls = []
+
+    def counted(name):
+        fn = getattr(ocd.epsilon, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_index", "knn_query"):
+        monkeypatch.setattr(ocd.epsilon, name, counted(name))
+    rng = np.random.default_rng(3)
+    auto_epsilon(rng.standard_normal((300, 2)), rng.standard_normal((300, 2)), beta=0.3)
+    assert calls == ["build_index", "knn_query"] * 2
+
+
 def test_rule_of_thumb_values():
     assert epsilon_rule_of_thumb(1, 1) == 0.75
     assert epsilon_rule_of_thumb(3, 800) == pytest.approx(0.4230678479722193)

@@ -19,7 +19,7 @@ from ocd import (
     radius_neighbors,
 )
 from ocd.estimators import _cluster_mean
-from ocd.neighbors import knn_query, nearest_neighbor_distances
+from ocd.neighbors import knn_query
 
 from oracles import brute_ball, brute_clusters, neighbor_csr_lexsort
 
@@ -309,8 +309,8 @@ def test_knn_query_bounds():
     assert dist[0, 0] == 0.0 and nn[0, 0] == 1
 
 
-def test_nearest_neighbor_distances():
+def test_knn_query_second_column_is_the_nearest_other_point():
     idx = build_index(np.array([[0.0], [1.0], [3.0]]))
-    np.testing.assert_allclose(nearest_neighbor_distances(idx), [1.0, 1.0, 2.0])
+    np.testing.assert_allclose(knn_query(idx, idx.points, k=2)[0][:, 1], [1.0, 1.0, 2.0])
     lone = build_index(np.array([[7.0]]))
-    np.testing.assert_array_equal(nearest_neighbor_distances(lone), [0.0])
+    np.testing.assert_array_equal(knn_query(lone, lone.points, k=1)[0], [[0.0]])
