@@ -175,7 +175,7 @@ class SolverConfig:
             raise InvalidConfig(f"dt must be finite and > 0, got {self.dt}")
         if self.max_steps < 0:
             raise InvalidConfig(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.gamma_abs < 0 or self.gamma_rel < 0:
+        if not (self.gamma_abs >= 0 and self.gamma_rel >= 0):
             raise InvalidConfig("gamma_abs and gamma_rel must be >= 0")
         if self.stagnation_window < 1:
             raise InvalidConfig(f"stagnation_window must be >= 1, got {self.stagnation_window}")

@@ -14,8 +14,8 @@ conditional-expectation formula applied to the cluster's joint sample, and
 it degrades gracefully: a singleton cluster returns its own gradient (zero
 velocity), and the infinite-ridge limit returns the cluster mean gradient.
 
-Both take their cluster statistics from one kernel, _cluster_mean; only the
-constant form under a custom cost sums per-pair gradients.
+Both read clusters off neighbor_csr's upper triangle U and their statistics
+off one kernel, _cluster_mean; only a custom-cost constant form uses _ball_mean.
 """
 
 from __future__ import annotations
@@ -31,23 +31,32 @@ from .errors import NonFiniteResult, SingularSystem
 _COND_LIMIT = 1e12
 
 
-def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    # every segment is non-empty (each particle neighbors itself)
-    return np.add.reduceat(values, indptr[:-1], axis=0)
-
-
 def _cluster_mean(values: np.ndarray, indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Per-cluster means of the (N, k) rows of ``values``: one sparse product
-    of the adjacency (ones over neighbor_csr's arrays), no per-pair array.
+    """Closed-ball means of the (N, k) rows of ``values`` over neighbor_csr's
+    U: (U @ values + U.T @ values + values) / ball sizes, no per-pair array.
 
-    A graph with N**2 entries is complete, so every cluster mean is the
+    A U with N(N-1)/2 entries is complete, so every cluster mean is the
     column mean, broadcast to every row (a read-only view) in O(N k).
     """
     n = indptr.shape[0] - 1
-    if cols.shape[0] == n * n:
+    if cols.shape[0] == n * (n - 1) // 2:
         return np.broadcast_to(values.mean(axis=0), values.shape)
-    adjacency = csr_matrix((np.ones(cols.shape[0]), cols, indptr), shape=(n, n))
-    return (adjacency @ values) / np.diff(indptr)[:, None]
+    upper = csr_matrix((np.ones(cols.shape[0]), cols, indptr), shape=(n, n))
+    sizes = np.diff(indptr) + np.bincount(cols, minlength=n) + 1
+    return (upper @ values + upper.T @ values + values) / sizes[:, None]
+
+
+def _ball_mean(pair_values, indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Closed-ball means of ``pair_values(i, j)`` per i, over the self pair
+    and both orientations of every pair of neighbor_csr's U."""
+    n = indptr.shape[0] - 1
+    own = np.arange(n)
+    rows = np.repeat(own, np.diff(indptr))
+    heads = np.concatenate([own, rows, cols])
+    values = pair_values(heads, np.concatenate([own, cols, rows]))
+    sums = np.zeros((n, values.shape[1]))
+    np.add.at(sums, heads, values)
+    return sums / np.bincount(heads, minlength=n)[:, None]
 
 
 def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y):
@@ -57,19 +66,14 @@ def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y):
     k_y[i] averages grad_y c(X_j, Y_i) over the Y-cluster.
     """
     x, y = ensemble.x_samples, ensemble.y_samples
-    indptr_x, cols_x = csr_x
-    indptr_y, cols_y = csr_y
     if cost.kind == KIND_L2:
         # mean_j 2(X_i - Y_j) = 2(X_i - mean_j Y_j), so only neighbor means
         # of the partner positions are needed
-        k_x = 2.0 * (x - _cluster_mean(y, indptr_x, cols_x))
-        k_y = 2.0 * (y - _cluster_mean(x, indptr_y, cols_y))
+        k_x = 2.0 * (x - _cluster_mean(y, *csr_x))
+        k_y = 2.0 * (y - _cluster_mean(x, *csr_y))
     else:
-        cnt_x, cnt_y = np.diff(indptr_x), np.diff(indptr_y)
-        rows_x = np.repeat(np.arange(x.shape[0]), cnt_x)
-        rows_y = np.repeat(np.arange(x.shape[0]), cnt_y)
-        k_x = _segment_sum(cost.grad_x(x[rows_x], y[cols_x]), indptr_x) / cnt_x[:, None]
-        k_y = _segment_sum(cost.grad_y(x[cols_y], y[rows_y]), indptr_y) / cnt_y[:, None]
+        k_x = _ball_mean(lambda i, j: cost.grad_x(x[i], y[j]), *csr_x)
+        k_y = _ball_mean(lambda i, j: cost.grad_y(x[j], y[i]), *csr_y)
     if not (np.isfinite(k_x).all() and np.isfinite(k_y).all()):
         raise NonFiniteResult("piecewise-constant estimate is not finite")
     return k_x, k_y
@@ -145,8 +149,7 @@ def _linear_estimate(pos: np.ndarray, grad: np.ndarray, indptr: np.ndarray,
 def _piecewise_linear_from_csr(ensemble, cost, csr_x, csr_y, epsilon_hat):
     """Per-cluster linear-regression estimates (k_x, k_y) with ridge epsilon_hat."""
     x, y = ensemble.x_samples, ensemble.y_samples
-    g_x = cost.grad_x(x, y)   # diagonal pairs: gradients at (X_j, Y_j)
-    g_y = cost.grad_y(x, y)
-    k_x = _linear_estimate(x, g_x, csr_x[0], csr_x[1], epsilon_hat)
-    k_y = _linear_estimate(y, g_y, csr_y[0], csr_y[1], epsilon_hat)
+    # diagonal pairs: gradients at (X_j, Y_j)
+    k_x = _linear_estimate(x, cost.grad_x(x, y), *csr_x, epsilon_hat)
+    k_y = _linear_estimate(y, cost.grad_y(x, y), *csr_y, epsilon_hat)
     return k_x, k_y

@@ -3,7 +3,8 @@
 The cluster of particle i is the closed Euclidean ball {j : ||p_i - p_j|| <= eps},
 always including i itself.  Queries are exact: ties at distance eps are in,
 and no tolerance fudge is applied.  A space-partitioning tree keeps the build
-at O(N log N) and queries output-sensitive.
+at O(N log N) and queries output-sensitive.  The ε-ball graph has one
+format, its strict upper triangle U (each unordered pair once; see neighbor_csr).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, identity
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
@@ -94,11 +95,11 @@ def _pairs(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """All-rows neighbor lists in CSR layout: (indptr, cols).
+    """The ε-ball graph as the strict upper triangle U in CSR layout: (indptr, cols).
 
-    Row i's neighbors are cols[indptr[i]:indptr[i+1]], sorted ascending and
-    always containing i.  This is the bulk form of radius_neighbors used by
-    the estimators; both produce the same closed-ball sets.
+    Row i holds, ascending, every j > i with ||p_i - p_j|| <= epsilon, so
+    each unordered pair appears once and no row holds itself.  The closed
+    ball of i, as radius_neighbors returns it, is i, row i and column i.
 
     When epsilon exceeds the bounding-box diagonal of the points by a
     relative margin of 1e-12 per dimension, the complete graph is returned
@@ -106,12 +107,7 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     pair is farther apart than the diagonal, and the margin is far above
     the rounding of a squared sum of dim terms (about 2 * dim * 2**-53
     relative), so the tree would keep every pair too; inside the margin
-    the tree decides.
-
-    Otherwise the build is O(nnz) after the pair query: a counting sort of
-    the upper-triangle pairs into CSR, then the canonical sum of that
-    matrix, its transpose and the identity, which keeps every row's
-    columns ascending.  Either way both arrays have scipy's index dtype:
+    the tree decides.  Either way both arrays have scipy's index dtype:
     int32 while the graph has fewer than 2**31 entries, int64 beyond.
 
     Raises NonFiniteResult when the squared distances among finite points
@@ -127,17 +123,18 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
         extent = index.extent
         diagonal = np.sqrt(np.dot(extent, extent))
     if epsilon >= diagonal * (1.0 + 1e-12 * extent.shape[0]):
-        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-        return np.arange(0, n * n + 1, n, dtype=dtype), np.tile(np.arange(n, dtype=dtype), n)
+        dtype = np.int32 if n * (n - 1) // 2 <= np.iinfo(np.int32).max else np.int64
+        indptr = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))]).astype(dtype)
+        # entry k of row i is column i + 1 + (k - indptr[i]); k = r * width + c is
+        # added in place on an (r, c) view, as a second N(N-1)/2 array faults in
+        cols = np.repeat(np.arange(1, n + 1, dtype=dtype) - indptr[:-1], np.diff(indptr))
+        block = cols.reshape((n // 2, n - 1) if n % 2 == 0 else (n, (n - 1) // 2))
+        block += np.arange(block.shape[1], dtype=dtype)
+        block += block.shape[1] * np.arange(block.shape[0], dtype=dtype)[:, None]
+        return indptr, cols
     ii, jj = _pairs(index, epsilon)
-    upper = coo_matrix(
-        (np.ones(ii.shape[0], dtype=np.int8), (ii, jj)), shape=(n, n)
-    ).tocsr()
-    # free the int64 pair list before the sum, the peak of the build
-    del ii, jj
-    upper.sort_indices()
-    graph = upper + upper.T + identity(n, dtype=np.int8, format="csr")
-    return graph.indptr, graph.indices
+    upper = coo_matrix((np.ones(ii.shape[0], dtype=np.int8), (ii, jj)), shape=(n, n)).tocsr()
+    return upper.indptr, upper.indices
 
 
 def knn_query(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,15 +147,15 @@ def knn_query(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndar
 
 
 def cluster_count_csr(indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of a neighbor graph in CSR form.
+    """Connected components of neighbor_csr's graph U.
 
     Returns (n_components, labels); labels are numbered in order of each
     component's smallest member index, the order in which scipy's search
-    meets them.  A graph with N**2 entries is complete (rows hold no
-    duplicates), so it is one component, read off without a search.
+    meets them.  A U with N(N-1)/2 entries is complete (each pair appears
+    once), so it is one component, read off without a search.
     """
     n = indptr.shape[0] - 1
-    if cols.shape[0] == n * n:
+    if cols.shape[0] == n * (n - 1) // 2:
         return 1, np.zeros(n, dtype=np.int32)
     graph = csr_matrix(
         (np.ones(cols.shape[0], dtype=np.int8), cols, indptr), shape=(n, n)

@@ -19,31 +19,39 @@ def brute_ball(points, query_row, epsilon):
 
 
 def neighbor_csr_lexsort(points, epsilon):
-    """Closed-ball CSR (indptr, cols) by one lexsort over every directed pair.
+    """Strict upper triangle U (indptr, cols) by one lexsort over the pairs.
 
-    Both orientations of each tree pair plus the self pairs, as int64 keys
-    ordered by (row, col): the direct construction, with no sparse-matrix
-    arithmetic to keep rows sorted.
+    Every tree pair i < j once, as int32 keys ordered by (row, col): the
+    direct construction, with no sparse-matrix conversion to sort rows.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if np.isfinite(epsilon):
         pairs = cKDTree(pts).query_pairs(r=float(epsilon), output_type="ndarray")
+        rows, cols = pairs[:, 0], pairs[:, 1]
     else:
-        ii, jj = np.triu_indices(n, k=1)
-        pairs = np.stack([ii, jj], axis=1)
-    deg = (
-        np.bincount(pairs[:, 0], minlength=n)
-        + np.bincount(pairs[:, 1], minlength=n)
-        + 1
-    )
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    self_ix = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1], self_ix])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0], self_ix])
+        rows, cols = np.triu_indices(n, k=1)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     order = np.lexsort((cols, rows))
-    return indptr, cols[order]
+    return indptr, cols[order].astype(np.int32)
+
+
+def closed_ball_csr(indptr, cols):
+    """Closed-ball CSR of an upper triangle U: the rows of U + U.T + I.
+
+    Row i lists i and every j paired with i in either orientation,
+    ascending, so it equals radius_neighbors(index, i, epsilon).
+    """
+    n = indptr.shape[0] - 1
+    own = np.arange(n)
+    upper_rows = np.repeat(own, np.diff(indptr))
+    rows = np.concatenate([upper_rows, cols, own])
+    ball = np.concatenate([cols, upper_rows, own])
+    order = np.lexsort((ball, rows))
+    ball_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ball_indptr[1:])
+    return ball_indptr, ball[order]
 
 
 def linear_estimate_loop(pos, grad, indptr, cols, epsilon_hat):

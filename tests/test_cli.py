@@ -66,6 +66,18 @@ def test_solve_rejects_bad_epsilon_spec(clouds, tmp_path, capsys):
     assert "InvalidConfig" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--gamma-abs", "--gamma-rel"])
+def test_solve_rejects_nan_stopping_threshold(clouds, tmp_path, capsys, flag):
+    # NaN fails every comparison, so it would switch the stopping rule off
+    xp, yp = clouds
+    out = tmp_path / "o"
+    code = main(["solve", "--x", str(xp), "--y", str(yp), "--eps", "0.5",
+                 flag, "nan", "--max-steps", "3", "--out", str(out)])
+    assert code == 1
+    assert "InvalidConfig" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_dist_matrix_and_color_transfer_reject_bad_epsilon_spec(clouds, tmp_path, capsys):
     xp, yp = clouds
     rng = np.random.default_rng(3)

@@ -112,6 +112,8 @@ def test_solver_config_defaults():
         dict(epsilon=0.5, estimator="cubic"),
         dict(epsilon=0.5, stepper="rk2"),
         dict(epsilon=0.5, seed=-1),
+        dict(epsilon=0.5, gamma_abs=float("nan")),
+        dict(epsilon=0.5, gamma_rel=float("nan")),
     ],
 )
 def test_solver_config_rejects(kwargs):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
 
 from ocd import (
     SolverConfig,
@@ -12,7 +13,7 @@ from ocd import (
 from ocd.estimators import _linear_estimate, _piecewise_constant_from_csr
 from ocd.neighbors import build_index, neighbor_csr
 
-from oracles import constant_estimate_l2_loop, linear_estimate_loop
+from oracles import closed_ball_csr, constant_estimate_l2_loop, linear_estimate_loop
 
 L2 = l2_cost_model()
 
@@ -77,6 +78,43 @@ def test_constant_estimator_custom_cost_matches_direct_average():
         ball = np.nonzero(np.linalg.norm(x - x[i], axis=1) <= eps)[0]
         ref = quartic.grad_x(np.broadcast_to(x[i], (ball.size, 2)), y[ball]).mean(axis=0)
         np.testing.assert_allclose(k_x[i], ref, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0.3, 1.0, np.inf]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_custom_cost_constant_estimate_matches_closed_ball_averages(n, dim, eps, dups, seed):
+    # k_x[i] averages grad_x c(X_i, Y_j) over the closed X-ball of i and
+    # k_y[i] averages grad_y c(X_j, Y_i) over the closed Y-ball, each ball
+    # found by scanning every distance; dups repeats rows exactly
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, dim))
+    y = rng.uniform(-1, 1, (n, dim))
+    if dups:
+        x = x[rng.integers(0, max(1, n // 3), size=n)]
+        y = y[rng.integers(0, max(1, n // 3), size=n)]
+    quartic = custom_cost_model(
+        cost=lambda a, b: np.sum((a - b) ** 4, axis=-1),
+        grad_x=lambda a, b: 4.0 * (a - b) ** 3,
+        grad_y=lambda a, b: -4.0 * (a - b) ** 3,
+        dim=dim,
+        vectorized=True,
+    )
+    csr_x = neighbor_csr(build_index(x), eps)
+    csr_y = neighbor_csr(build_index(y), eps)
+    k_x, k_y = _piecewise_constant_from_csr(new_ensemble(x, y), quartic, csr_x, csr_y)
+    for i in range(n):
+        ball_x = np.nonzero(np.linalg.norm(x - x[i], axis=1) <= eps)[0]
+        ball_y = np.nonzero(np.linalg.norm(y - y[i], axis=1) <= eps)[0]
+        ref_x = quartic.grad_x(np.broadcast_to(x[i], (ball_x.size, dim)), y[ball_x]).mean(axis=0)
+        ref_y = quartic.grad_y(x[ball_y], np.broadcast_to(y[i], (ball_y.size, dim))).mean(axis=0)
+        np.testing.assert_allclose(k_x[i], ref_x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(k_y[i], ref_y, rtol=1e-12, atol=1e-12)
 
 
 def test_linear_estimator_recovers_affine_coupling():
@@ -195,26 +233,23 @@ def test_linear_estimator_finite_on_random_inputs(n, dim, eps, eps_hat, seed):
     st.integers(min_value=0, max_value=2**31),
 )
 def test_linear_estimate_matches_per_cluster_loop(dim, eps_hat, seed):
-    # random clusters of spread points, plus two groups of three exact
-    # duplicates on a quarter grid whose cluster means are exact: their
-    # covariance is zero, so at eps_hat = 0 they take the fallback ridge
+    # a random symmetric pair set over spread points, plus two groups of
+    # three exact duplicates on a quarter grid, each joined to itself only,
+    # whose cluster means are exact: their covariance is zero, so at
+    # eps_hat = 0 they take the fallback ridge
     rng = np.random.default_rng(seed)
     n_spread = 30
     dups = np.repeat(rng.integers(-4, 5, size=(2, dim)) / 4.0, 3, axis=0)
     pos = np.vstack([rng.standard_normal((n_spread, dim)), dups])
     grad = rng.standard_normal(pos.shape)
-    rows = []
-    for i in range(pos.shape[0]):
-        if i < n_spread:
-            size = rng.integers(4 * (dim + 1), n_spread)
-            rows.append(np.union1d(rng.choice(n_spread, size, replace=False), [i]))
-        else:
-            first = n_spread + 3 * ((i - n_spread) // 3)
-            rows.append(np.arange(first, first + 3))
-    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
-    cols = np.concatenate(rows)
+    ii, jj = np.triu_indices(n_spread, k=1)
+    keep = rng.random(ii.size) < rng.uniform(0.6, 0.9)
+    groups = n_spread + np.array([[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]])
+    pairs = (np.concatenate([ii[keep], groups[:, 0]]), np.concatenate([jj[keep], groups[:, 1]]))
+    upper = coo_matrix((np.ones(pairs[0].size), pairs), shape=(pos.shape[0],) * 2).tocsr()
+    indptr, cols = upper.indptr, upper.indices
     est = _linear_estimate(pos, grad, indptr, cols, eps_hat)
-    ref = linear_estimate_loop(pos, grad, indptr, cols, eps_hat)
+    ref = linear_estimate_loop(pos, grad, *closed_ball_csr(indptr, cols), eps_hat)
     np.testing.assert_allclose(est, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -232,7 +267,8 @@ def test_l2_constant_estimate_matches_direct_partner_means(n, dim, eps, seed):
     csr_x = neighbor_csr(build_index(x), eps)
     csr_y = neighbor_csr(build_index(y), eps)
     k_x, k_y = _piecewise_constant_from_csr(new_ensemble(x, y), L2, csr_x, csr_y)
-    ref_x, ref_y = constant_estimate_l2_loop(x, y, csr_x, csr_y)
+    ref_x, ref_y = constant_estimate_l2_loop(x, y, closed_ball_csr(*csr_x),
+                                             closed_ball_csr(*csr_y))
     np.testing.assert_allclose(k_x, ref_x, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(k_y, ref_y, rtol=1e-12, atol=1e-12)
 
@@ -250,8 +286,9 @@ def test_linear_estimate_precision_far_from_global_mean(dim, eps_hat, seed):
     pos = np.vstack([rng.normal(1e4, 0.1, (20, dim)),
                      rng.normal(1.1e4, 0.1, (20, dim))])
     grad = L2.grad_x(pos, rng.standard_normal(pos.shape))
-    indptr, cols = neighbor_csr(build_index(pos), 10.0)
-    assert np.diff(indptr).tolist() == [20] * 40
-    est = _linear_estimate(pos, grad, indptr, cols, eps_hat)
-    ref = linear_estimate_loop(pos, grad, indptr, cols, eps_hat)
+    upper = neighbor_csr(build_index(pos), 10.0)
+    ball = closed_ball_csr(*upper)
+    assert np.diff(ball[0]).tolist() == [20] * 40
+    est = _linear_estimate(pos, grad, *upper, eps_hat)
+    ref = linear_estimate_loop(pos, grad, *ball, eps_hat)
     np.testing.assert_allclose(est, ref, rtol=1e-9)

@@ -21,7 +21,7 @@ from ocd import (
 from ocd.estimators import _cluster_mean
 from ocd.neighbors import knn_query
 
-from oracles import brute_ball, brute_clusters, neighbor_csr_lexsort
+from oracles import brute_ball, brute_clusters, closed_ball_csr, neighbor_csr_lexsort
 
 
 def csr_row(indptr, cols, i):
@@ -63,21 +63,24 @@ def test_neighbor_csr_matches_per_row_queries():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((40, 2))
     idx = build_index(pts)
-    indptr, cols = neighbor_csr(idx, 0.5)
+    indptr, cols = closed_ball_csr(*neighbor_csr(idx, 0.5))
     for i in range(40):
         assert csr_row(indptr, cols, i) == radius_neighbors(idx, i, 0.5)
 
 
 def test_neighbor_csr_infinite_epsilon_is_complete_graph():
     idx = build_index(np.random.default_rng(1).standard_normal((7, 3)))
-    indptr, cols = neighbor_csr(idx, np.inf)
+    indptr, cols = closed_ball_csr(*neighbor_csr(idx, np.inf))
     for i in range(7):
         assert csr_row(indptr, cols, i) == list(range(7))
 
 
 def test_neighbor_csr_all_singletons():
     idx = build_index(np.array([[0.0], [10.0], [20.0]]))
-    indptr, cols = neighbor_csr(idx, 0.1)
+    upper = neighbor_csr(idx, 0.1)
+    np.testing.assert_array_equal(upper[0], [0, 0, 0, 0])
+    assert upper[1].size == 0
+    indptr, cols = closed_ball_csr(*upper)
     np.testing.assert_array_equal(indptr, [0, 1, 2, 3])
     np.testing.assert_array_equal(cols, [0, 1, 2])
 
@@ -92,7 +95,7 @@ def test_neighbor_csr_all_singletons():
 def test_neighbor_csr_equals_brute_force(n, dim, eps, seed):
     pts = np.random.default_rng(seed).uniform(-2, 2, size=(n, dim))
     idx = build_index(pts)
-    indptr, cols = neighbor_csr(idx, eps)
+    indptr, cols = closed_ball_csr(*neighbor_csr(idx, eps))
     for i in range(n):
         assert csr_row(indptr, cols, i) == brute_ball(pts, i, eps)
 
@@ -136,7 +139,7 @@ def test_neighbor_csr_equals_lexsort_construction(cloud):
     for i in range(pts.shape[0]):
         row = cols[indptr[i]:indptr[i + 1]]
         assert (np.diff(row) > 0).all()
-        assert i in row
+        assert (row > i).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,7 +161,9 @@ def test_neighbor_sets_grow_with_epsilon(n, eps, factor, seed):
 def test_neighbor_relation_is_symmetric():
     pts = np.random.default_rng(5).standard_normal((30, 2))
     idx = build_index(pts)
-    indptr, cols = neighbor_csr(idx, 0.8)
+    upper = neighbor_csr(idx, 0.8)
+    assert all(j > i for i in range(30) for j in csr_row(*upper, i))
+    indptr, cols = closed_ball_csr(*upper)
     rows = {(i, j) for i in range(30) for j in csr_row(indptr, cols, i)}
     assert rows == {(j, i) for i, j in rows}
 
@@ -214,21 +219,22 @@ def test_neighbor_csr_at_the_bounding_box_diagonal(box, which):
         # past the margin no pair query runs
         with mock.patch("ocd.neighbors._pairs", side_effect=AssertionError("pair query")):
             indptr, cols = neighbor_csr(index, eps)
-        assert cols.size == n * n
+        assert cols.size == n * (n - 1) // 2
     else:
         indptr, cols = neighbor_csr(index, eps)
     assert indptr.dtype == np.int32 and cols.dtype == np.int32
     ref_indptr, ref_cols = neighbor_csr_lexsort(pts, eps)
     np.testing.assert_array_equal(indptr, ref_indptr)
     np.testing.assert_array_equal(cols, ref_cols)
+    ball_indptr, ball_cols = closed_ball_csr(indptr, cols)
     for i in range(n):
         row = cols[indptr[i]:indptr[i + 1]]
-        assert (np.diff(row) > 0).all()
+        assert (np.diff(row) > 0).all() and (row > i).all()
         if exact:
             # an exact diagonal is a tie both the tree and the scan resolve alike
-            assert row.tolist() == brute_ball(pts, i, eps)
+            assert csr_row(ball_indptr, ball_cols, i) == brute_ball(pts, i, eps)
     if exact and eps >= diag:
-        assert cols.size == n * n
+        assert cols.size == n * (n - 1) // 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,6 +259,7 @@ def test_complete_graph_consumers_agree_on_both_paths(box, seed):
         np.testing.assert_array_equal(labels, ref_labels)
         assert labels.dtype == ref_labels.dtype
     values = np.random.default_rng(seed).standard_normal((n, 4)) + pts[:, :1]
+    indptr, cols = closed_ball_csr(indptr, cols)
     ref = np.array([values[cols[indptr[i]:indptr[i + 1]]].mean(axis=0) for i in range(n)])
     scale = np.abs(ref).max()
     for graph in (queried, shortcut):
@@ -268,7 +275,7 @@ def test_neighbor_csr_on_an_overflowing_extent():
         for eps in (1.0, 1e300):
             with pytest.raises(NonFiniteResult):
                 neighbor_csr(index, eps)
-        indptr, cols = neighbor_csr(index, np.inf)
+        indptr, cols = closed_ball_csr(*neighbor_csr(index, np.inf))
     np.testing.assert_array_equal(indptr, [0, 2, 4])
     np.testing.assert_array_equal(cols, [0, 1, 0, 1])
 
