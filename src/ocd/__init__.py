@@ -67,7 +67,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     EmptyQuery,
-    IndexOutOfRange,
     InvalidConfig,
     NoFeasibleEpsilon,
     NonFiniteInput,
@@ -108,7 +107,6 @@ from .neighbors import (
     cluster_count_csr,
     cluster_curve,
     neighbor_csr,
-    radius_neighbors,
 )
 from .samplers import (
     sample_banana,

@@ -57,21 +57,22 @@ from .samplers import (
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    default = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
     parser.add_argument("--eps", default="auto",
                         help="cutoff: a number, or auto | rule | crit")
-    parser.add_argument("--eps-hat", type=float, default=0.0,
+    parser.add_argument("--eps-hat", type=float, default=default["epsilon_hat"],
                         help="ridge regularizer for the linear estimator")
-    parser.add_argument("--dt", type=float, default=0.1)
-    parser.add_argument("--max-steps", type=int, default=1000)
-    parser.add_argument("--gamma-abs", type=float, default=0.01)
-    parser.add_argument("--gamma-rel", type=float, default=1e-4)
-    parser.add_argument("--window", type=int, default=50,
+    parser.add_argument("--dt", type=float, default=default["dt"])
+    parser.add_argument("--max-steps", type=int, default=default["max_steps"])
+    parser.add_argument("--gamma-abs", type=float, default=default["gamma_abs"])
+    parser.add_argument("--gamma-rel", type=float, default=default["gamma_rel"])
+    parser.add_argument("--window", type=int, default=default["stagnation_window"],
                         help="stagnation window in steps")
     parser.add_argument("--estimator", choices=[ESTIMATOR_CONSTANT, ESTIMATOR_LINEAR],
-                        default=ESTIMATOR_LINEAR)
+                        default=default["estimator"])
     parser.add_argument("--stepper", choices=[STEPPER_EULER, STEPPER_RK4],
-                        default=STEPPER_RK4)
-    parser.add_argument("--seed", type=int, default=0)
+                        default=default["stepper"])
+    parser.add_argument("--seed", type=int, default=default["seed"])
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -168,12 +169,10 @@ def cmd_gaussian_oracle(args) -> int:
     times, traj = integrate_riccati(pair, np.zeros((1, 1)), args.dt, args.t_final)
     j_opt, d2 = gaussian_ot_optimum(pair)
     out = _out_dir(args)
-    with open(out / "riccati.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time,j,kappa,kappa_closed_form\n")
-        for t, j in zip(times, traj):
-            kappa = float(j[0, 0]) / (sigma_mu * sigma_nu)
-            closed = kappa_closed_form(sigma_mu, sigma_nu, float(t))
-            fh.write(f"{float(t)!r},{float(j[0, 0])!r},{kappa!r},{closed!r}\n")
+    ocd_io.write_csv(out / "riccati.csv", ["time", "j", "kappa", "kappa_closed_form"], (
+        [t, j, j / (sigma_mu * sigma_nu), kappa_closed_form(sigma_mu, sigma_nu, t)]
+        for t, j in zip(times.tolist(), traj[:, 0, 0].tolist())
+    ))
     _write_manifest(args, "gaussian-oracle", None,
                     {"sigma_mu": sigma_mu, "sigma_nu": sigma_nu}, out,
                     extra={"d2": d2, "j_opt": j_opt.tolist(),
@@ -187,10 +186,8 @@ def cmd_emd(args) -> int:
     y = ocd_io.read_samples_csv(args.y)
     coupling = emd(x, y, l2_cost_model())
     out = _out_dir(args)
-    with open(out / "assignment.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,assignment\n")
-        for i, j in enumerate(coupling.assignment):
-            fh.write(f"{i},{j}\n")
+    ocd_io.write_csv(out / "assignment.csv", ["index", "assignment"],
+                     enumerate(coupling.assignment.tolist()))
     _write_manifest(args, "emd", None, {"x": args.x, "y": args.y}, out,
                     extra={"d2": coupling.total_cost})
     print(f"d2 = {coupling.total_cost!r}")

@@ -107,12 +107,7 @@ def _advance(ensemble, cost, config, k1, diagnostics):
         raise NonFiniteState("particle state diverged (NaN/Inf position)", diagnostics)
 
 
-def _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics):
-    cost_now = transport_cost(ensemble, cost)
-    if not np.isfinite(cost_now):
-        raise NonFiniteState("transport cost diverged", diagnostics)
-    if not config.record_diagnostics:
-        return cost_now
+def _record(ensemble, ref_x, ref_y, cost_now, csrs, diagnostics):
     if ensemble.n_particles >= 2:
         j = cross_correlation(ensemble)
     else:
@@ -132,7 +127,21 @@ def _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics):
             n_clusters_y=n_cl_y,
         )
     )
-    return cost_now
+
+
+def _termination(history, config):
+    """The TERM_* constant of the first stopping rule that fires, else None."""
+    steps_taken = len(history) - 1
+    cost_now = history[-1]
+    if cost_now <= config.gamma_abs:
+        return TERM_COST_BELOW_GAMMA
+    if steps_taken >= config.stagnation_window:
+        prior = history[steps_taken - config.stagnation_window]
+        if abs(cost_now - prior) <= config.gamma_rel * max(cost_now, 1e-12):
+            return TERM_STAGNATED
+    if steps_taken >= config.max_steps:
+        return TERM_MAX_STEPS
+    return None
 
 
 def run(ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig) -> RunResult:
@@ -150,32 +159,24 @@ def run(ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig) -> Ru
     ref_x = moment_summary(ensemble.x_samples)
     ref_y = moment_summary(ensemble.y_samples)
     diagnostics: list[StepDiagnostics] = []
-    start_step = ensemble.step_index
+    history = []
 
     try:
-        csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
-        cost_now = _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics)
-        history = [cost_now]
-
         while True:
-            steps_taken = ensemble.step_index - start_step
-            if cost_now <= config.gamma_abs:
-                termination = TERM_COST_BELOW_GAMMA
-                break
-            if steps_taken >= config.stagnation_window:
-                prior = history[steps_taken - config.stagnation_window]
-                if abs(cost_now - prior) <= config.gamma_rel * max(cost_now, 1e-12):
-                    termination = TERM_STAGNATED
-                    break
-            if steps_taken >= config.max_steps:
-                termination = TERM_MAX_STEPS
+            cost_now = transport_cost(ensemble, cost)
+            if not np.isfinite(cost_now):
+                raise NonFiniteState("transport cost diverged", diagnostics)
+            history.append(cost_now)
+            termination = _termination(history, config)
+            if termination is None or config.record_diagnostics:
+                csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
+            if config.record_diagnostics:
+                _record(ensemble, ref_x, ref_y, cost_now, csrs, diagnostics)
+            if termination is not None:
                 break
             k1 = _velocities_at(ensemble.x_samples, ensemble.y_samples, cost, config, csrs)
             del csrs  # freed before the RK stages and the next step build theirs
             _advance(ensemble, cost, config, k1, diagnostics)
-            csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
-            cost_now = _record(ensemble, cost, config, ref_x, ref_y, csrs, diagnostics)
-            history.append(cost_now)
     except NonFiniteResult as exc:
         # finite inputs gave a non-finite result: the state has left the
         # float range, e.g. squared pair distances overflow in the tree

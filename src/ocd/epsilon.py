@@ -207,9 +207,10 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
     """One solver run per grid ε from the same initial pairing.
 
     The exact-assignment reference is computed once on the shared initial
-    samples.  A failing row is recorded (NaN metrics) and the sweep
-    continues.  wall_time_ms is telemetry, not part of any determinism
-    contract.
+    samples.  Each run keeps the template's record_diagnostics; a row's
+    cluster counts are taken once, at the final positions.  A failing row
+    is recorded (NaN metrics) and the sweep continues.  wall_time_ms is
+    telemetry, not part of any determinism contract.
     """
     base = new_ensemble(x0, y0)
     coupling = emd(base.x_samples, base.y_samples, cost)
@@ -217,12 +218,11 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
     rows = []
     for eps in grid:
         eps = float(eps)
-        config = replace(config_template, epsilon=eps, record_diagnostics=True)
+        config = replace(config_template, epsilon=eps)
         start = time.perf_counter()
         try:
             result = run(base.copy(), cost, config)
             final = result.final_ensemble
-            last = result.diagnostics[-1]  # recorded at the final positions
             ocd_pairs = np.hstack([final.x_samples, final.y_samples])
             rows.append(
                 SweepRow(
@@ -230,8 +230,8 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
                     final_cost=result.final_cost,
                     emd_cost=coupling.total_cost,
                     joint_distance=joint_distance(ocd_pairs, emd_pairs),
-                    n_clusters_x=last.n_clusters_x,
-                    n_clusters_y=last.n_clusters_y,
+                    n_clusters_x=count_clusters(final.x_samples, eps).n_clusters,
+                    n_clusters_y=count_clusters(final.y_samples, eps).n_clusters,
                     steps=final.step_index,
                     wall_time_ms=(time.perf_counter() - start) * 1e3,
                 )

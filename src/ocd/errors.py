@@ -21,10 +21,6 @@ class EmptyInput(OcdError):
     """An input that must contain at least one row is empty."""
 
 
-class IndexOutOfRange(OcdError):
-    """A row index does not address any stored point."""
-
-
 class SingularSystem(OcdError):
     """A cluster covariance solve failed even after regularization."""
 

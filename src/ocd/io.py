@@ -20,24 +20,26 @@ from .errors import InvalidConfig, ParseError
 FORMAT_VERSION = "1"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 # ---------------------------------------------------------------------------
-# sample matrices
+# tables and sample matrices
 
 
-def _write_csv(path, header: str, m: np.ndarray) -> None:
+def write_csv(path, columns, rows) -> None:
+    """One header line of ``columns``, then one line per row of ``rows``.
+
+    Rows hold Python floats and ints, written with repr: a float as its
+    shortest round-trip digits, an int as plain digits.  (A numpy scalar's
+    repr names its type, so callers convert, e.g. with ``tolist()``.)
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in m.tolist():
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_samples_csv(matrix, path) -> None:
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    _write_csv(path, ",".join(f"x{j + 1}" for j in range(m.shape[1])), m)
+    write_csv(path, [f"x{j + 1}" for j in range(m.shape[1])], m.tolist())
 
 
 def read_samples_csv(path) -> np.ndarray:
@@ -80,10 +82,8 @@ def write_pairs_csv(x_samples, y_samples, path) -> None:
     if x.shape != y.shape:
         raise InvalidConfig(f"pair halves must share shape, got {x.shape} and {y.shape}")
     n = x.shape[1]
-    header = ",".join(
-        [f"x{j + 1}" for j in range(n)] + [f"y{j + 1}" for j in range(n)]
-    )
-    _write_csv(path, header, np.hstack([x, y]))
+    columns = [f"x{j + 1}" for j in range(n)] + [f"y{j + 1}" for j in range(n)]
+    write_csv(path, columns, np.hstack([x, y]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +170,12 @@ SWEEP_COLUMNS = (
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(r.epsilon),
-                        _fmt(r.final_cost),
-                        _fmt(r.emd_cost),
-                        _fmt(r.joint_distance),
-                        str(r.n_clusters_x),
-                        str(r.n_clusters_y),
-                        str(r.steps),
-                        _fmt(r.wall_time_ms),
-                    ]
-                )
-                + "\n"
-            )
+    write_csv(path, SWEEP_COLUMNS, (
+        [float(r.epsilon), float(r.final_cost), float(r.emd_cost),
+         float(r.joint_distance), int(r.n_clusters_x), int(r.n_clusters_y),
+         int(r.steps), float(r.wall_time_ms)]
+        for r in rows
+    ))
 
 
 # ---------------------------------------------------------------------------

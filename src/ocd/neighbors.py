@@ -1,10 +1,11 @@
-"""Exact radius-neighbor queries over one sample matrix.
+"""Exact ε-ball graphs over one sample matrix.
 
 The cluster of particle i is the closed Euclidean ball {j : ||p_i - p_j|| <= eps},
 always including i itself.  Queries are exact: ties at distance eps are in,
 and no tolerance fudge is applied.  A space-partitioning tree keeps the build
 at O(N log N) and queries output-sensitive.  The ε-ball graph has one
-format, its strict upper triangle U (each unordered pair once; see neighbor_csr).
+format, its strict upper triangle U (each unordered pair once), and one
+query, neighbor_csr; cluster_count_csr and cluster_curve read its U.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from .errors import (
-    EmptyInput,
-    IndexOutOfRange,
-    InvalidConfig,
-    NonFiniteInput,
-    NonFiniteResult,
-)
+from .errors import EmptyInput, InvalidConfig, NonFiniteInput, NonFiniteResult
 
 
 @dataclass
@@ -59,47 +54,12 @@ def build_index(points) -> SpatialIndex:
     return SpatialIndex(points=pts, _tree=tree)
 
 
-def radius_neighbors(index: SpatialIndex, query_row: int, epsilon: float) -> list[int]:
-    """Sorted indices of all points within distance epsilon of the given row.
-
-    The query row is always a member of its own result (distance 0).
-    """
-    if not (0 <= query_row < index.n_points):
-        raise IndexOutOfRange(
-            f"query_row {query_row} outside [0, {index.n_points})"
-        )
-    if not epsilon > 0:
-        raise InvalidConfig(f"epsilon must be > 0, got {epsilon}")
-    hits = index._tree.query_ball_point(index.points[query_row], r=epsilon)
-    hits.sort()
-    return hits
-
-
-def _pairs(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows i < j of every pair within distance epsilon, as two int arrays.
-
-    Raises NonFiniteResult when the squared distances among finite points
-    overflow the float range, as on a diverging run.
-    """
-    if not np.isfinite(epsilon):
-        # cluster_curve's infinite grid value joins every pair, so list them
-        # without the tree, which would overflow on a diverging state
-        return np.triu_indices(index.n_points, k=1)
-    try:
-        ii, jj = index._tree.query_pairs(r=float(epsilon), output_type="ndarray").T
-    except ValueError as exc:
-        # cKDTree refuses any query, whatever r, once the squared extent
-        # of the data overflows ("Encountering floating point overflow")
-        raise NonFiniteResult(f"squared point distances overflow: {exc}") from exc
-    return ii, jj
-
-
 def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """The ε-ball graph as the strict upper triangle U in CSR layout: (indptr, cols).
 
     Row i holds, ascending, every j > i with ||p_i - p_j|| <= epsilon, so
     each unordered pair appears once and no row holds itself.  The closed
-    ball of i, as radius_neighbors returns it, is i, row i and column i.
+    ball of i is i itself, row i and column i.
 
     When epsilon exceeds the bounding-box diagonal of the points by a
     relative margin of 1e-12 per dimension, the complete graph is returned
@@ -132,7 +92,12 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
         block += np.arange(block.shape[1], dtype=dtype)
         block += block.shape[1] * np.arange(block.shape[0], dtype=dtype)[:, None]
         return indptr, cols
-    ii, jj = _pairs(index, epsilon)
+    try:
+        ii, jj = index._tree.query_pairs(r=float(epsilon), output_type="ndarray").T
+    except ValueError as exc:
+        # cKDTree refuses any query, whatever r, once the squared extent
+        # of the data overflows ("Encountering floating point overflow")
+        raise NonFiniteResult(f"squared point distances overflow: {exc}") from exc
     upper = coo_matrix((np.ones(ii.shape[0], dtype=np.int8), (ii, jj)), shape=(n, n)).tocsr()
     return upper.indptr, upper.indices
 
@@ -196,24 +161,25 @@ def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
     """Connected components of the ε-ball graph at each ε of ``grid``.
 
     Equals ``cluster_count_csr(*neighbor_csr(index, eps))[0]`` for every eps
-    in the grid, from one pair query at the largest eps.  By Kruskal's
-    algorithm, a minimum spanning forest F of the graph at that eps answers
-    every smaller eps too: the graph at eps has N - #{edges of F no longer
-    than eps} components (single linkage is the minimum spanning tree).
+    in the grid, from the one graph ``neighbor_csr`` builds at the largest
+    eps, complete-graph shortcut included.  By Kruskal's algorithm, a
+    minimum spanning forest F of that graph answers every smaller eps too:
+    the graph at eps has N - #{edges of F no longer than eps} components
+    (single linkage is the minimum spanning tree).
     The grid may be in any order; the result follows it.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0 or not (grid > 0).all():
         raise InvalidConfig("grid must hold at least one epsilon, all > 0")
     n = index.n_points
-    ii, jj = _pairs(index, grid.max())
-    lengths = _squared_lengths(index.points, ii, jj)
+    indptr, cols = neighbor_csr(index, grid.max())
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
+    lengths = _squared_lengths(index.points, rows, cols)
+    del rows
     # csgraph reads a stored zero as no edge, so an exact duplicate pair
     # stands in with the smallest positive length, still <= eps**2 for
     # any eps above 1e-161
     lengths[lengths == 0.0] = np.nextafter(0.0, 1.0)
-    graph = csr_matrix((lengths, (ii, jj)), shape=(n, n))
-    # free the pair list before the forest, the peak of the build
-    del ii, jj, lengths
+    graph = csr_matrix((lengths, cols, indptr), shape=(n, n))
     forest = np.sort(minimum_spanning_tree(graph, overwrite=True).data)
     return n - np.searchsorted(forest, grid * grid, side="right")

@@ -41,7 +41,7 @@ def closed_ball_csr(indptr, cols):
     """Closed-ball CSR of an upper triangle U: the rows of U + U.T + I.
 
     Row i lists i and every j paired with i in either orientation,
-    ascending, so it equals radius_neighbors(index, i, epsilon).
+    ascending, so it equals brute_ball(points, i, epsilon).
     """
     n = indptr.shape[0] - 1
     own = np.arange(n)

@@ -23,15 +23,14 @@ from ocd import (
     integrate_riccati,
     l2_cost_model,
     new_ensemble,
-    radius_neighbors,
     run,
     sample_softmax_pushforward,
     softmax_map,
     write_samples_csv,
 )
 from ocd.cli import main as cli_main
-from ocd.neighbors import build_index
-from oracles import brute_ball, brute_clusters, hungarian_min_cost
+from ocd.neighbors import build_index, neighbor_csr
+from oracles import brute_ball, brute_clusters, closed_ball_csr, hungarian_min_cost
 
 L2 = l2_cost_model()
 SPD_TOL = 1e-8
@@ -218,9 +217,9 @@ def test_criterion_8_neighbor_cluster_oracles():
         d = int(rng.integers(1, 4))
         pts = rng.uniform(-1.0, 1.0, size=(n, d))
         eps = float(rng.uniform(0.05, 1.5))
-        index = build_index(pts)
+        indptr, cols = closed_ball_csr(*neighbor_csr(build_index(pts), eps))
         row = int(rng.integers(0, n))
-        assert radius_neighbors(index, row, eps) == brute_ball(pts, row, eps)
+        assert cols[indptr[row]:indptr[row + 1]].tolist() == brute_ball(pts, row, eps)
     for trial in range(200):
         n = int(rng.integers(1, 40))
         pts = rng.uniform(-1.0, 1.0, size=(n, int(rng.integers(1, 4))))

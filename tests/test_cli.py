@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ocd import ImageSamples, read_samples_csv, write_ppm, write_samples_csv
-from ocd.cli import main
+from ocd import ImageSamples, SolverConfig, read_samples_csv, write_ppm, write_samples_csv
+from ocd.cli import _make_config, build_parser, main
 from ocd.io import SWEEP_COLUMNS
 
 
@@ -97,6 +97,17 @@ def test_dist_matrix_needs_two_inputs(clouds, tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert "InvalidConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--x", "x.csv", "--y", "y.csv"],
+    ["sweep-eps", "--x", "x.csv", "--y", "y.csv", "--grid", "0.1"],
+    ["dist-matrix", "--inputs", "a.csv", "b.csv"],
+    ["color-transfer", "--source", "a.ppm", "--target", "b.ppm"],
+])
+def test_solver_flag_defaults_are_the_config_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert _make_config(args, 1.0) == SolverConfig(epsilon=1.0)
 
 
 def test_solve_missing_input_exits_2(tmp_path, capsys):

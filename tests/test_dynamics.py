@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ocd import (
     run,
 )
 from ocd.dynamics import TERM_COST_BELOW_GAMMA, TERM_MAX_STEPS, TERM_STAGNATED
+from ocd.neighbors import neighbor_csr
 
 from oracles import two_particle_closed_form
 
@@ -200,13 +202,36 @@ def test_divergence_raises_with_partial_diagnostics(epsilon):
 
 @pytest.mark.parametrize("epsilon", [1.0, np.inf])
 def test_overflowing_initial_extent_raises_non_finite_state(epsilon):
-    # finite positions whose pair distances overflow: at eps = 1 the first
-    # graph build fails, at eps = inf the first transport cost; both before
-    # any record is taken
+    # finite positions whose pair distances overflow: the first transport
+    # cost overflows, before any graph is built or record taken
     x = np.array([[-1e308], [1e308]])
     with pytest.raises(NonFiniteState) as info:
         run(new_ensemble(x, -x), L2, cfg(epsilon=epsilon))
     assert info.value.partial_diagnostics == []
+
+
+def test_overflowing_first_graph_build_raises_non_finite_state():
+    # y = x: the cost is 0, so the run stops at once, but the first record
+    # needs the graphs, whose pair query overflows
+    x = np.array([[-1e308], [1e308]])
+    with pytest.raises(NonFiniteState, match="overflow") as info:
+        run(new_ensemble(x, x), L2, cfg(epsilon=1.0))
+    assert info.value.partial_diagnostics == []
+
+
+def test_run_builds_step_start_graphs_only_for_a_step_or_a_record():
+    # three Euler steps need three step-start graph pairs; the final state
+    # needs a fourth only when it is recorded
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
+    for record, pairs in ((True, 4), (False, 3)):
+        spy = mock.Mock(wraps=neighbor_csr)
+        with mock.patch("ocd.dynamics.neighbor_csr", spy):
+            res = run(new_ensemble(x, y), L2, cfg(epsilon=0.5, max_steps=3, gamma_abs=0.0,
+                                                  gamma_rel=0.0, record_diagnostics=record))
+        assert res.termination == TERM_MAX_STEPS
+        assert len(res.diagnostics) == (4 if record else 0)
+        assert spy.call_count == 2 * pairs
 
 
 @pytest.mark.parametrize("stepper", ["euler", "rk4"])

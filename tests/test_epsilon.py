@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ocd import (
     SolverConfig,
     auto_epsilon,
     build_index,
+    cluster_count_csr,
     cluster_curve,
     count_clusters,
     default_epsilon_grid,
@@ -20,6 +22,7 @@ from ocd import (
     epsilon_rule_of_thumb,
     epsilon_sweep,
     l2_cost_model,
+    neighbor_csr,
     new_ensemble,
     run,
 )
@@ -118,8 +121,23 @@ def test_epsilon_max_equals_grid_scan(case):
 @settings(max_examples=150, deadline=None)
 @given(epsilon_cases())
 def test_cluster_curve_equals_count_per_grid_point(case):
+    # the bounding-box diagonal, one ulp above it and inf: the tree decides
+    # at the first two, the complete-graph shortcut at inf
     pts, _, grid = case
+    diag = float(np.linalg.norm(np.ptp(pts, axis=0)))
+    extra = [diag, np.nextafter(diag, np.inf)] if diag > 0 else []
+    grid = sorted(set(grid + extra + [np.inf]))
     curve = cluster_curve(build_index(pts), grid)
+    assert curve.tolist() == [count_clusters(pts, e).n_clusters for e in grid]
+
+
+def test_cluster_curve_reads_one_graph_at_the_largest_epsilon():
+    pts = np.random.default_rng(3).standard_normal((50, 2))
+    index = build_index(pts)
+    grid = [0.3, 0.05, 1.2, 0.6]
+    with mock.patch("ocd.neighbors.neighbor_csr", wraps=neighbor_csr) as spy:
+        curve = cluster_curve(index, grid)
+    spy.assert_called_once_with(index, 1.2)
     assert curve.tolist() == [count_clusters(pts, e).n_clusters for e in grid]
 
 
@@ -301,6 +319,23 @@ def test_sweep_shares_initial_reference():
                     dataclasses.replace(cfg, epsilon=row.epsilon)).final_ensemble
         assert row.n_clusters_x == count_clusters(final.x_samples, row.epsilon).n_clusters
         assert row.n_clusters_y == count_clusters(final.y_samples, row.epsilon).n_clusters
+
+
+def test_sweep_row_counts_clusters_once_per_marginal():
+    # a template without diagnostics runs without them: the row's counts
+    # are the only component searches, one per marginal at the final state
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((30, 2))
+    y = rng.standard_normal((30, 2))
+    cfg = SolverConfig(epsilon=1.0, dt=0.05, max_steps=10, estimator="constant",
+                       stepper="euler", gamma_abs=0.0, gamma_rel=0.0,
+                       record_diagnostics=False)
+    spy = mock.Mock(wraps=cluster_count_csr)
+    with mock.patch("ocd.dynamics.cluster_count_csr", spy), \
+            mock.patch("ocd.epsilon.cluster_count_csr", spy):
+        (row,) = epsilon_sweep(x, y, l2_cost_model(), cfg, [0.5])
+    assert not row.failed and row.steps == 10
+    assert spy.call_count == 2
 
 
 def test_sweep_records_failed_row_and_continues():

@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from scipy.spatial import cKDTree
+
 from ocd import (
     EmptyInput,
-    IndexOutOfRange,
     InvalidConfig,
     NonFiniteInput,
     NonFiniteResult,
     build_index,
     cluster_count_csr,
     neighbor_csr,
-    radius_neighbors,
 )
 from ocd.estimators import _cluster_mean
 from ocd.neighbors import knn_query
@@ -28,26 +28,30 @@ def csr_row(indptr, cols, i):
     return cols[indptr[i]:indptr[i + 1]].tolist()
 
 
-def test_radius_neighbors_basic():
+class NoPairQuery(cKDTree):
+    """A KD-tree that fails any pair query made on it."""
+
+    def query_pairs(self, *args, **kwargs):
+        raise AssertionError("pair query")
+
+
+def test_neighbor_csr_basic():
     idx = build_index(np.array([[0.0], [0.5], [2.0]]))
-    assert radius_neighbors(idx, 0, 0.6) == [0, 1]
-    assert radius_neighbors(idx, 2, 10.0) == [0, 1, 2]
-    assert radius_neighbors(idx, 2, 0.1) == [2]
+    assert csr_row(*neighbor_csr(idx, 0.6), 0) == [1]
+    assert csr_row(*closed_ball_csr(*neighbor_csr(idx, 10.0)), 2) == [0, 1, 2]
+    assert csr_row(*closed_ball_csr(*neighbor_csr(idx, 0.1)), 2) == [2]
 
 
-def test_radius_neighbors_closed_ball_includes_boundary():
+def test_neighbor_csr_closed_ball_includes_boundary():
     idx = build_index(np.array([[0.0], [1.0]]))
-    assert radius_neighbors(idx, 0, 1.0) == [0, 1]
+    assert csr_row(*neighbor_csr(idx, 1.0), 0) == [1]
 
 
-def test_radius_neighbors_errors():
+def test_neighbor_csr_rejects_nonpositive_epsilon():
     idx = build_index(np.array([[0.0], [1.0]]))
-    with pytest.raises(IndexOutOfRange):
-        radius_neighbors(idx, 2, 1.0)
-    with pytest.raises(IndexOutOfRange):
-        radius_neighbors(idx, -1, 1.0)
-    with pytest.raises(InvalidConfig):
-        radius_neighbors(idx, 0, 0.0)
+    for eps in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidConfig):
+            neighbor_csr(idx, eps)
 
 
 def test_build_index_errors():
@@ -65,7 +69,7 @@ def test_neighbor_csr_matches_per_row_queries():
     idx = build_index(pts)
     indptr, cols = closed_ball_csr(*neighbor_csr(idx, 0.5))
     for i in range(40):
-        assert csr_row(indptr, cols, i) == radius_neighbors(idx, i, 0.5)
+        assert csr_row(indptr, cols, i) == brute_ball(pts, i, 0.5)
 
 
 def test_neighbor_csr_infinite_epsilon_is_complete_graph():
@@ -214,14 +218,14 @@ def test_neighbor_csr_at_the_bounding_box_diagonal(box, which):
     cut = diag * (1.0 + 1e-12 * dim)
     eps = [np.nextafter(diag, 0.0), diag, np.nextafter(diag, np.inf),
            np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)][which]
-    index = build_index(pts)
     if eps >= cut:
         # past the margin no pair query runs
-        with mock.patch("ocd.neighbors._pairs", side_effect=AssertionError("pair query")):
-            indptr, cols = neighbor_csr(index, eps)
+        with mock.patch("ocd.neighbors.cKDTree", NoPairQuery):
+            index = build_index(pts)
+        indptr, cols = neighbor_csr(index, eps)
         assert cols.size == n * (n - 1) // 2
     else:
-        indptr, cols = neighbor_csr(index, eps)
+        indptr, cols = neighbor_csr(build_index(pts), eps)
     assert indptr.dtype == np.int32 and cols.dtype == np.int32
     ref_indptr, ref_cols = neighbor_csr_lexsort(pts, eps)
     np.testing.assert_array_equal(indptr, ref_indptr)
