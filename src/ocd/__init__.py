@@ -76,7 +76,6 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     SingularCovariance,
-    SingularSystem,
     SizeGuardExceeded,
 )
 from .gaussian import (

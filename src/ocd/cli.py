@@ -314,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist-matrix",
                        help="pairwise transport distances between datasets")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("OCD_THREADS", "1")))
+    # a string default: argparse checks it (exit 2) only when dist-matrix runs
+    p.add_argument("--threads", type=int, default=os.environ.get("OCD_THREADS", "1"))
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_dist_matrix)

@@ -60,33 +60,35 @@ class RunResult:
 
 
 def _build_csrs(x, y, config):
-    idx_x = build_index(x)
-    idx_y = build_index(y)
-    return neighbor_csr(idx_x, config.epsilon), neighbor_csr(idx_y, config.epsilon)
+    return tuple(neighbor_csr(build_index(p), config.epsilon) for p in (x, y))
 
 
 def _velocities_at(x, y, cost, config, csrs=None):
     """OCD velocities for given positions; builds fresh clusters unless given."""
     if csrs is None:
         csrs = _build_csrs(x, y, config)
-    csr_x, csr_y = csrs
     state = ParticleEnsemble(x, y)
     if config.estimator == ESTIMATOR_CONSTANT:
-        k_x, k_y = _piecewise_constant_from_csr(state, cost, csr_x, csr_y)
+        k_x, k_y = _piecewise_constant_from_csr(state, cost, *csrs)
     else:
-        k_x, k_y = _piecewise_linear_from_csr(state, cost, csr_x, csr_y, config.epsilon_hat)
-    return k_x - cost.grad_x(x, y), k_y - cost.grad_y(x, y)
+        k_x, k_y = _piecewise_linear_from_csr(state, cost, *csrs, config.epsilon_hat)
+    v_x, v_y = k_x - cost.grad_x(x, y), k_y - cost.grad_y(x, y)
+    if not (np.isfinite(v_x).all() and np.isfinite(v_y).all()):
+        raise NonFiniteResult("velocity is not finite")
+    return v_x, v_y
 
 
 def ocd_velocity(
     ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig
 ) -> VelocityBatch:
-    """Velocities at the ensemble's current positions, from fresh clusters."""
-    v_x, v_y = _velocities_at(ensemble.x_samples, ensemble.y_samples, cost, config)
+    """Velocities at the ensemble's current positions, from fresh clusters;
+    NonFiniteResult, with no warning, if they are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_x, v_y = _velocities_at(ensemble.x_samples, ensemble.y_samples, cost, config)
     return VelocityBatch(v_x=v_x, v_y=v_y)
 
 
-def _advance(ensemble, cost, config, k1, diagnostics):
+def _advance(ensemble, cost, config, k1):
     """One step of the configured stepper, in place, from step-start velocities."""
     x, y = ensemble.x_samples, ensemble.y_samples
     dt = config.dt
@@ -104,7 +106,7 @@ def _advance(ensemble, cost, config, k1, diagnostics):
     ensemble.time += dt
     ensemble.step_index += 1
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteState("particle state diverged (NaN/Inf position)", diagnostics)
+        raise NonFiniteResult("position is not finite")
 
 
 def _record(ensemble, ref_x, ref_y, cost_now, csrs, diagnostics):
@@ -151,35 +153,40 @@ def run(ensemble: ParticleEnsemble, cost: CostModel, config: SolverConfig) -> Ru
     over the stagnation window drops below gamma_rel relative, or (c)
     max_steps is exhausted.  The ensemble is mutated in place and returned
     inside the RunResult.
+
+    Once a cost, velocity, position or neighbor query is not finite, it
+    raises NonFiniteState carrying the diagnostics so far, with no warning:
+    every overflow is caught or kept in a record (which may read inf).
     """
     if not (
         np.isfinite(ensemble.x_samples).all() and np.isfinite(ensemble.y_samples).all()
     ):
         raise NonFiniteInput("ensemble state contains NaN or Inf")
-    ref_x = moment_summary(ensemble.x_samples)
-    ref_y = moment_summary(ensemble.y_samples)
     diagnostics: list[StepDiagnostics] = []
     history = []
 
     try:
-        while True:
-            cost_now = transport_cost(ensemble, cost)
-            if not np.isfinite(cost_now):
-                raise NonFiniteState("transport cost diverged", diagnostics)
-            history.append(cost_now)
-            termination = _termination(history, config)
-            if termination is None or config.record_diagnostics:
-                csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
-            if config.record_diagnostics:
-                _record(ensemble, ref_x, ref_y, cost_now, csrs, diagnostics)
-            if termination is not None:
-                break
-            k1 = _velocities_at(ensemble.x_samples, ensemble.y_samples, cost, config, csrs)
-            del csrs  # freed before the RK stages and the next step build theirs
-            _advance(ensemble, cost, config, k1, diagnostics)
-    except NonFiniteResult as exc:
-        # finite inputs gave a non-finite result: the state has left the
-        # float range, e.g. squared pair distances overflow in the tree
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_x = moment_summary(ensemble.x_samples)
+            ref_y = moment_summary(ensemble.y_samples)
+            while True:
+                cost_now = transport_cost(ensemble, cost)
+                if not np.isfinite(cost_now):
+                    raise NonFiniteResult("transport cost is not finite")
+                history.append(cost_now)
+                termination = _termination(history, config)
+                if termination is None or config.record_diagnostics:
+                    csrs = _build_csrs(ensemble.x_samples, ensemble.y_samples, config)
+                if config.record_diagnostics:
+                    _record(ensemble, ref_x, ref_y, cost_now, csrs, diagnostics)
+                if termination is not None:
+                    break
+                k1 = _velocities_at(ensemble.x_samples, ensemble.y_samples, cost, config, csrs)
+                del csrs  # freed before the RK stages and the next step build theirs
+                _advance(ensemble, cost, config, k1)
+    except (NonFiniteInput, NonFiniteResult) as exc:
+        # the start was finite, so the state has left the float range (an
+        # RK stage position included, which build_index rejects)
         raise NonFiniteState(f"particle state diverged: {exc}", diagnostics) from exc
 
     return RunResult(

@@ -207,7 +207,7 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
     """One solver run per grid ε from the same initial pairing.
 
     The exact-assignment reference is computed once on the shared initial
-    samples.  Each run keeps the template's record_diagnostics; a row's
+    samples.  A row reports no diagnostics, so its run records none; its
     cluster counts are taken once, at the final positions.  A failing row
     is recorded (NaN metrics) and the sweep continues.  wall_time_ms is
     telemetry, not part of any determinism contract.
@@ -218,7 +218,7 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
     rows = []
     for eps in grid:
         eps = float(eps)
-        config = replace(config_template, epsilon=eps)
+        config = replace(config_template, epsilon=eps, record_diagnostics=False)
         start = time.perf_counter()
         try:
             result = run(base.copy(), cost, config)

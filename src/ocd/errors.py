@@ -21,12 +21,11 @@ class EmptyInput(OcdError):
     """An input that must contain at least one row is empty."""
 
 
-class SingularSystem(OcdError):
-    """A cluster covariance solve failed even after regularization."""
-
-
 class NonFiniteResult(OcdError):
-    """A computation produced NaN or Inf from finite inputs."""
+    """A computation produced NaN or Inf from finite inputs.
+
+    run() reports it as NonFiniteState; ocd_velocity and neighbor_csr raise it.
+    """
 
 
 class NonFiniteState(OcdError):

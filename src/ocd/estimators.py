@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .core import KIND_L2
-from .errors import NonFiniteResult, SingularSystem
+from .errors import NonFiniteResult
 
 # Condition-number ceiling above which the cluster solve falls back to a
 # scaled ridge; see _linear_estimate.
@@ -74,8 +74,6 @@ def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y):
     else:
         k_x = _ball_mean(lambda i, j: cost.grad_x(x[i], y[j]), *csr_x)
         k_y = _ball_mean(lambda i, j: cost.grad_y(x[j], y[i]), *csr_y)
-    if not (np.isfinite(k_x).all() and np.isfinite(k_y).all()):
-        raise NonFiniteResult("piecewise-constant estimate is not finite")
     return k_x, k_y
 
 
@@ -126,7 +124,8 @@ def _linear_estimate(pos: np.ndarray, grad: np.ndarray, indptr: np.ndarray,
     system = s_pp + epsilon_hat * eye
     lo, hi = _min_max_eig_sym(system)
     with np.errstate(divide="ignore", invalid="ignore"):
-        bad = ~np.isfinite(lo) | (lo <= 0) | (hi / lo > _COND_LIMIT)
+        # written so that a NaN or infinite eigenvalue marks the cluster bad
+        bad = ~((lo > 0) & (hi / lo <= _COND_LIMIT))
     if bad.any():
         # fall back to a ridge scaled by the cluster covariance magnitude
         ridge = 1e-8 * np.einsum("naa->n", s_pp) / dim + 1e-12
@@ -135,15 +134,8 @@ def _linear_estimate(pos: np.ndarray, grad: np.ndarray, indptr: np.ndarray,
     try:
         z = np.linalg.solve(system, (p - m_p)[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        if epsilon_hat == 0:
-            raise SingularSystem(f"cluster covariance solve failed: {exc}") from exc
         raise NonFiniteResult(f"cluster covariance solve failed: {exc}") from exc
-    est = g_mean + m_g + np.einsum("nab,na->nb", s_pg, z)
-    if not np.isfinite(est).all():
-        if epsilon_hat == 0:
-            raise SingularSystem("regularized cluster solve produced non-finite values")
-        raise NonFiniteResult("piecewise-linear estimate is not finite")
-    return est
+    return g_mean + m_g + np.einsum("nab,na->nb", s_pg, z)
 
 
 def _piecewise_linear_from_csr(ensemble, cost, csr_x, csr_y, epsilon_hat):

@@ -6,6 +6,8 @@ and no tolerance fudge is applied.  A space-partitioning tree keeps the build
 at O(N log N) and queries output-sensitive.  The ε-ball graph has one
 format, its strict upper triangle U (each unordered pair once), and one
 query, neighbor_csr; cluster_count_csr and cluster_curve read its U.
+The tree alone decides ties: cluster_curve, which sums lengths its own way,
+asks neighbor_csr at an eps within rounding of one of its edge lengths.
 """
 
 from __future__ import annotations
@@ -130,30 +132,17 @@ def cluster_count_csr(indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.nda
 
 
 def _squared_lengths(points: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Squared lengths of the pairs (ii, jj), summed as cKDTree sums them.
+    """Squared lengths of the pairs (ii, jj), the columns summed in order.
 
-    cKDTree keeps four running sums over whole blocks of four columns, adds
-    them in order, then adds the remaining columns one by one.  Summing the
-    same way makes ``length <= eps**2`` the tree's own verdict on ``<= eps``,
-    ties included.
+    From eight columns on the tree may round a length the other way, so
+    ``length <= eps**2`` is its verdict except at ties (see cluster_curve).
     """
-    def square(c):
+    total = np.zeros(ii.shape[0])
+    for c in range(points.shape[1]):
         col = points[:, c]
         diff = col[ii] - col[jj]
         diff *= diff
-        return diff
-
-    dim = points.shape[1]
-    whole = dim - dim % 4
-    if whole:
-        part = [square(c) for c in range(4)]
-        for c in range(4, whole):
-            part[c % 4] += square(c)
-        total = part[0] + part[1] + part[2] + part[3]
-    else:
-        total = np.zeros(ii.shape[0])
-    for c in range(whole, dim):
-        total += square(c)
+        total += diff
     return total
 
 
@@ -166,6 +155,12 @@ def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
     minimum spanning forest F of that graph answers every smaller eps too:
     the graph at eps has N - #{edges of F no longer than eps} components
     (single linkage is the minimum spanning tree).
+
+    Ties go to the tree, whose own rounding may put a pair at distance eps
+    on the other side: where eps**2 is within a relative 1e-12 * dim of a
+    forest edge's length, the count is neighbor_csr's at eps.  By the cycle
+    property, any edge the tree rounds across eps**2 moves the count only
+    through a forest edge between eps**2 and its length, so inside the band.
     The grid may be in any order; the result follows it.
     """
     grid = np.asarray(grid, dtype=np.float64)
@@ -182,4 +177,11 @@ def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
     lengths[lengths == 0.0] = np.nextafter(0.0, 1.0)
     graph = csr_matrix((lengths, cols, indptr), shape=(n, n))
     forest = np.sort(minimum_spanning_tree(graph, overwrite=True).data)
-    return n - np.searchsorted(forest, grid * grid, side="right")
+    squared = grid * grid
+    counts = n - np.searchsorted(forest, squared, side="right")
+    band = 1e-12 * index.points.shape[1]
+    ties = (np.searchsorted(forest, squared * (1.0 + band), side="right")
+            > np.searchsorted(forest, squared * (1.0 - band), side="left"))
+    for k in np.flatnonzero(ties):
+        counts[k] = cluster_count_csr(*neighbor_csr(index, grid[k]))[0]
+    return counts

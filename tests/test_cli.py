@@ -248,6 +248,21 @@ def test_threads_flag_only_on_dist_matrix(clouds, tmp_path):
     assert exc.value.code == 2
 
 
+def test_ocd_threads_is_read_only_by_dist_matrix(tmp_path, monkeypatch, capsys):
+    # a malformed OCD_THREADS leaves the other subcommands alone and is a
+    # usage error of the one flag it sets the default of
+    monkeypatch.setenv("OCD_THREADS", "3")
+    assert build_parser().parse_args(["dist-matrix", "--inputs", "a", "b"]).threads == 3
+    monkeypatch.setenv("OCD_THREADS", "abc")
+    path = tmp_path / "s.csv"
+    assert main(["sample", "--dist", "normal", "--n", "5", "--out-file", str(path),
+                 "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["dist-matrix", "--inputs", str(path), str(path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_dist_matrix_subcommand(tmp_path):
     rng = np.random.default_rng(1)
     paths = []

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ocd import (
     NonFiniteInput,
+    NonFiniteResult,
     NonFiniteState,
     SolverConfig,
     l2_cost_model,
@@ -217,6 +219,42 @@ def test_overflowing_first_graph_build_raises_non_finite_state():
     with pytest.raises(NonFiniteState, match="overflow") as info:
         run(new_ensemble(x, x), L2, cfg(epsilon=1.0))
     assert info.value.partial_diagnostics == []
+
+
+# finite positions with a finite cost against y = x + 1, whose cluster
+# moments p p^T overflow at eps = inf
+MOMENT_OVERFLOW_X = np.array([[1e160, 1.0], [-1e160, 2.0], [3.0, 1e160]])
+
+
+@pytest.mark.parametrize("epsilon_hat", [0.0, 1e-3])
+def test_linear_moment_overflow_raises_non_finite_state(epsilon_hat):
+    # at either ridge the linear velocity is reported as divergence, after
+    # the first record and without a warning
+    ens = new_ensemble(MOMENT_OVERFLOW_X, MOMENT_OVERFLOW_X + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match="velocity") as info:
+            run(ens, L2, cfg(estimator="linear", epsilon_hat=epsilon_hat))
+    assert len(info.value.partial_diagnostics) == 1
+
+
+def test_ocd_velocity_raises_non_finite_result_without_a_warning():
+    ens = new_ensemble(MOMENT_OVERFLOW_X, MOMENT_OVERFLOW_X + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult):
+            ocd_velocity(ens, L2, cfg(estimator="linear"))
+
+
+def test_overflowing_rk4_stage_raises_non_finite_state():
+    # finite positions and step-start velocities (+-2e307 in the first
+    # column) whose RK4 midpoint overflows: the stage's tree build rejects
+    # it, and run() reports that as divergence with its one record
+    x = np.array([[8e307, 0.0], [6e307, 1.0]])
+    y = np.array([[8e307, 1.0], [6e307, 0.0]])
+    with pytest.raises(NonFiniteState) as info:
+        run(new_ensemble(x, y), L2, cfg(stepper="rk4", dt=20.0, gamma_abs=0.0))
+    assert len(info.value.partial_diagnostics) == 1
 
 
 def test_run_builds_step_start_graphs_only_for_a_step_or_a_record():

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from ocd import (
@@ -141,21 +141,43 @@ def test_cluster_curve_reads_one_graph_at_the_largest_epsilon():
     assert curve.tolist() == [count_clusters(pts, e).n_clusters for e in grid]
 
 
+def tree_distance_grid(pts):
+    """The tree's own nearest pair distances and one ulp either side of each."""
+    dist = cKDTree(pts).query(pts, k=min(pts.shape[0], 4))[0][:, 1:].ravel()
+    return np.unique(np.concatenate(
+        [dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf)]
+    ))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=2, max_value=30),
     st.integers(min_value=1, max_value=10),
     st.integers(min_value=0, max_value=2**31),
 )
+# the tree and a column-order sum round this pair's length to opposite
+# sides of its distance
+@example(n=2, dim=8, seed=208)
 def test_cluster_curve_at_the_tree_distances(n, dim, seed):
-    # grid points on the tree's own pair distances and one ulp either side,
-    # where the rounding of each squared length decides membership
+    # on these grid points the rounding of each squared length decides
+    # membership, and the tree's verdict is the count's
     pts = np.random.default_rng(seed).standard_normal((n, dim))
-    dist = cKDTree(pts).query(pts, k=min(n, 4))[0][:, 1:].ravel()
-    grid = np.unique(np.concatenate(
-        [dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf)]
-    ))
+    grid = tree_distance_grid(pts)
     curve = cluster_curve(build_index(pts), grid)
+    assert curve.tolist() == [count_clusters(pts, e).n_clusters for e in grid]
+
+
+def test_cluster_curve_recounts_only_at_the_ties():
+    # the tie grid of the example above, with one point well below and one
+    # well above it: only the three tie points are recounted by neighbor_csr
+    pts = np.random.default_rng(208).standard_normal((2, 8))
+    ties = tree_distance_grid(pts)
+    grid = [0.5 * ties[0], *ties, 2.0 * ties[-1]]
+    index = build_index(pts)
+    with mock.patch("ocd.neighbors.neighbor_csr", wraps=neighbor_csr) as spy:
+        curve = cluster_curve(index, grid)
+    assert [c.args for c in spy.call_args_list] == [(index, grid[-1])] + [
+        (index, t) for t in ties]
     assert curve.tolist() == [count_clusters(pts, e).n_clusters for e in grid]
 
 
@@ -321,15 +343,17 @@ def test_sweep_shares_initial_reference():
         assert row.n_clusters_y == count_clusters(final.y_samples, row.epsilon).n_clusters
 
 
-def test_sweep_row_counts_clusters_once_per_marginal():
-    # a template without diagnostics runs without them: the row's counts
-    # are the only component searches, one per marginal at the final state
+@pytest.mark.parametrize("record_diagnostics", [False, True])
+def test_sweep_row_counts_clusters_once_per_marginal(record_diagnostics):
+    # a row reports no diagnostics, so its run records none whatever the
+    # template says: the row's counts are the only component searches, one
+    # per marginal at the final state
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 2))
     y = rng.standard_normal((30, 2))
     cfg = SolverConfig(epsilon=1.0, dt=0.05, max_steps=10, estimator="constant",
                        stepper="euler", gamma_abs=0.0, gamma_rel=0.0,
-                       record_diagnostics=False)
+                       record_diagnostics=record_diagnostics)
     spy = mock.Mock(wraps=cluster_count_csr)
     with mock.patch("ocd.dynamics.cluster_count_csr", spy), \
             mock.patch("ocd.epsilon.cluster_count_csr", spy):
