@@ -42,10 +42,46 @@ def write_samples_csv(matrix, path) -> None:
     write_csv(path, [f"x{j + 1}" for j in range(m.shape[1])], m.tolist())
 
 
+def _read_text(path) -> str:
+    """The file's text, or a ParseError at the line of its first non-UTF-8 byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"line {line}: not UTF-8 text (byte {raw[exc.start]:#04x})", line=line
+        ) from None
+
+
 def read_samples_csv(path) -> np.ndarray:
-    """Read a headered CSV of decimal values into an (N, n) matrix."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    """Read a headered CSV of decimal values into an (N, n) matrix.
+
+    numpy's C parser reads the body; any body it rejects, or reads into
+    another width than the header's, goes to the validating row loop.
+    That loop reads every body loadtxt reads, to the same bits, and more
+    (``1_0``, non-ASCII digits, whitespace-only lines), and names the line
+    and column of each error.
+    """
+    lines = _read_text(path).splitlines()
+    # loadtxt warns on a body without data, where _parse_lines raises; a
+    # body with a non-blank line gives it at least one row or an error
+    if lines and lines[0].strip() and any(line.strip() for line in lines[1:]):
+        try:
+            # comments=None: a "#" is a bad token, not the end of a row
+            matrix = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2,
+                                dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if matrix.shape[1] == len(lines[0].split(",")):
+                return matrix
+    return _parse_lines(lines)
+
+
+def _parse_lines(lines) -> np.ndarray:
+    """The validating parser: one float() per field, ParseError with its position."""
     if not lines or not lines[0].strip():
         raise ParseError("missing header line", line=1)
     n_cols = len(lines[0].split(","))
@@ -134,6 +170,8 @@ def write_manifest(manifest: RunManifest, path) -> None:
 def _config_from_manifest(config) -> SolverConfig | None:
     if config is None:
         return None
+    if not isinstance(config, dict):
+        raise ParseError("manifest config is not a JSON object")
     known = {f.name for f in dataclasses.fields(SolverConfig)}
     unknown = sorted(set(config) - known)
     if unknown:
@@ -144,8 +182,17 @@ def _config_from_manifest(config) -> SolverConfig | None:
 
 
 def read_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    text = _read_text(path)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"line {exc.lineno}, column {exc.colno}: not a JSON manifest: {exc.msg}",
+            line=exc.lineno,
+            column=exc.colno,
+        ) from None
+    if not isinstance(payload, dict) or "subcommand" not in payload:
+        raise ParseError("manifest is not a JSON object with a 'subcommand' field")
     return RunManifest(
         subcommand=payload["subcommand"],
         config=_config_from_manifest(payload.get("config")),

@@ -63,6 +63,12 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     each unordered pair appears once and no row holds itself.  The closed
     ball of i is i itself, row i and column i.
 
+    The tree's pairs come in no particular order; two counting passes and
+    no comparison sort order them.  The first groups each pair under its
+    larger index, which gives U's transpose L in CSR.  The second, scipy's
+    CSR-to-CSC transpose of L, walks L's rows in order and appends each
+    pair to its smaller index's row of U, so every row comes out ascending.
+
     When epsilon exceeds the bounding-box diagonal of the points by a
     relative margin of 1e-12 per dimension, the complete graph is returned
     without a pair query.  The condition is sufficient, not necessary: no
@@ -95,12 +101,21 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
         block += block.shape[1] * np.arange(block.shape[0], dtype=dtype)[:, None]
         return indptr, cols
     try:
-        ii, jj = index._tree.query_pairs(r=float(epsilon), output_type="ndarray").T
+        pairs = index._tree.query_pairs(r=float(epsilon), output_type="ndarray")
     except ValueError as exc:
         # cKDTree refuses any query, whatever r, once the squared extent
         # of the data overflows ("Encountering floating point overflow")
         raise NonFiniteResult(f"squared point distances overflow: {exc}") from exc
-    upper = coo_matrix((np.ones(ii.shape[0], dtype=np.int8), (ii, jj)), shape=(n, n)).tocsr()
+    # pair (i, j), i < j, is entry (j, i) of U's transpose L
+    lower = coo_matrix(
+        (np.ones(pairs.shape[0], dtype=np.int8), (pairs[:, 1], pairs[:, 0])), shape=(n, n)
+    )
+    del pairs
+    # query_pairs reports each pair once, so there is nothing to sum, and
+    # the flag skips tocsr's sum_duplicates with its per-row sort
+    lower.has_canonical_format = True
+    lower = lower.tocsr()
+    upper = lower.tocsc()  # L in CSC is U in CSR
     return upper.indptr, upper.indices
 
 

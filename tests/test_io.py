@@ -1,7 +1,9 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ocd import (
     ImageSamples,
@@ -20,6 +22,8 @@ from ocd import (
     write_ppm,
     write_samples_csv,
 )
+from ocd import io as ocd_io
+from ocd.cli import main
 from ocd.io import SWEEP_COLUMNS, write_sweep_csv
 from ocd.epsilon import SweepRow
 
@@ -74,6 +78,116 @@ def test_samples_csv_parse_errors(tmp_path):
         read_samples_csv(bad)
     assert info.value.line == 3
     assert info.value.column == 2
+
+
+# Tokens both parsers read, tokens only float() reads, and tokens neither reads.
+_TOKENS = st.sampled_from([
+    "nan", "NaN", "-nan", "+nan", "inf", "-inf", "+inf", "Infinity", "-iNfInItY",
+    "1e500", "-1e-400", "2.2250738585072011e-308", "5e-324", "-0.0", "1.", ".5",
+    "1_0", "１", "١", "1#2", "#", "", " ", "0x10", "1d5", "nan(1)", "--1",
+])
+_PADS = st.sampled_from(["", " ", "  ", "\t", "　", "\xa0"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Sample CSV texts, mostly valid, some with one defect the row loop catches."""
+    n_cols = draw(st.integers(min_value=1, max_value=4))
+    n_rows = draw(st.integers(min_value=0, max_value=5))
+    values = draw(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        min_size=n_rows * n_cols, max_size=n_rows * n_cols,
+    ))
+    fmt = draw(st.sampled_from([repr, lambda v: "%.17g" % v]))
+    rows = []
+    for r in range(n_rows):
+        fields = [fmt(v) for v in values[r * n_cols:(r + 1) * n_cols]]
+        for c in draw(st.lists(st.integers(0, n_cols - 1), max_size=2)):
+            fields[c] = draw(_TOKENS)
+        if draw(st.booleans()):
+            c = draw(st.integers(0, n_cols - 1))
+            fields[c] = draw(_PADS) + fields[c] + draw(_PADS)
+        rows.append(fields)
+    defect = draw(st.sampled_from(["none", "none", "none", "ragged", "header", "blank"]))
+    if defect == "ragged" and rows:
+        r = draw(st.integers(0, len(rows) - 1))
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1.0"]
+    header_cols = n_cols + (draw(st.sampled_from([-1, 1])) if defect == "header" else 0)
+    lines = [",".join(f"x{j + 1}" for j in range(header_cols))] + [",".join(f) for f in rows]
+    if defect == "blank" and rows:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    trailing = draw(st.sampled_from(["", newline, newline * 2, newline + " " + newline]))
+    return newline.join(lines) + trailing
+
+
+def _parse_outcome(parse):
+    """The matrix a parser returns, or its ParseError as (message, line, column)."""
+    try:
+        return parse()
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+def _same_outcome(got, ref):
+    if isinstance(ref, tuple) or isinstance(got, tuple):
+        return got == ref
+    # bit for bit, so NaN compares equal to itself and -0.0 differs from 0.0
+    return (got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+            and np.array_equal(got.view(np.uint64), ref.view(np.uint64)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts())
+def test_samples_csv_fast_path_agrees_with_the_row_loop(tmp_path, text):
+    path = tmp_path / "agree.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _parse_outcome(lambda: read_samples_csv(path))
+    ref = _parse_outcome(lambda: ocd_io._parse_lines(text.splitlines()))
+    assert _same_outcome(got, ref), (got, ref)
+
+
+def test_samples_csv_takes_the_fast_path_and_falls_back(tmp_path):
+    # a file as write_samples_csv writes it, e.g. the benchmark's inputs
+    m = np.random.default_rng(3).standard_normal((500, 2))
+    written = tmp_path / "written.csv"
+    write_samples_csv(m, written)
+    rejected = {
+        "underscore": "x1,x2\n1_0,2\n",
+        "full-width digit": "x1,x2\n１,2\n",
+        "whitespace line": "x1,x2\n1,2\n \n3,4\n",
+        "hash": "x1,x2\n1,2#3\n",
+        "ragged": "x1,x2\n1,2\n3\n",
+        "header wider": "x1,x2,x3\n1,2\n",
+        "header only": "x1,x2\n",
+        "blank body": "x1,x2\n\n\n",
+    }
+    with mock.patch.object(ocd_io, "_parse_lines", side_effect=ocd_io._parse_lines) as spy:
+        np.testing.assert_array_equal(read_samples_csv(written), m)
+        assert spy.call_count == 0
+        for name, text in rejected.items():
+            path = tmp_path / "rejected.csv"
+            path.write_text(text)
+            spy.reset_mock()
+            _parse_outcome(lambda: read_samples_csv(path))
+            assert spy.call_count == 1, name
+
+
+def test_undecodable_samples_are_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x1,x2\n1,2\n3,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8") as info:
+        read_samples_csv(bad)
+    assert info.value.line == 3
+    good = tmp_path / "good.csv"
+    write_samples_csv(np.zeros((3, 2)), good)
+    bom = tmp_path / "utf16.csv"
+    bom.write_bytes(b"\xff\xfe")
+    code = main(["solve", "--x", str(bom), "--y", str(good), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: line 1: not UTF-8") and err.count("\n") == 1
 
 
 def test_pairs_csv_header_and_values(tmp_path):
@@ -138,6 +252,27 @@ def test_manifest_config_field_errors_are_parse_errors(tmp_path):
     del config["freeze_clusters_within_step"], config["epsilon"]
     path.write_text(json.dumps({"subcommand": "solve", "config": config}))
     with pytest.raises(ParseError, match="epsilon"):
+        read_manifest(path)
+
+
+def test_malformed_manifests_are_parse_errors(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_manifest(RunManifest(subcommand="emd", config=None, inputs={},
+                               output_dir=".", seed=0), path)
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) // 2])
+    with pytest.raises(ParseError, match="not a JSON manifest") as info:
+        read_manifest(path)
+    assert info.value.line is not None and info.value.column is not None
+    path.write_bytes(b'{"subcommand": "emd", "output_dir": "\xff"}')
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_manifest(path)
+    for payload in (b"[]", b'{"seed": 1}'):
+        path.write_bytes(payload)
+        with pytest.raises(ParseError, match="subcommand"):
+            read_manifest(path)
+    path.write_bytes(b'{"subcommand": "solve", "config": 3}')
+    with pytest.raises(ParseError, match="config"):
         read_manifest(path)
 
 

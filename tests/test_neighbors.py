@@ -1,10 +1,11 @@
+import contextlib
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from scipy.spatial import cKDTree
@@ -19,7 +20,7 @@ from ocd import (
     neighbor_csr,
 )
 from ocd.estimators import _cluster_mean
-from ocd.neighbors import knn_query
+from ocd.neighbors import SpatialIndex, knn_query
 
 from oracles import brute_ball, brute_clusters, closed_ball_csr, neighbor_csr_lexsort
 
@@ -144,6 +145,35 @@ def test_neighbor_csr_equals_lexsort_construction(cloud):
         row = cols[indptr[i]:indptr[i + 1]]
         assert (np.diff(row) > 0).all()
         assert (row > i).all()
+
+
+class ShuffledPairs(cKDTree):
+    """A KD-tree that reports its pairs in a seeded random order."""
+
+    def query_pairs(self, *args, **kwargs):
+        pairs = super().query_pairs(*args, **kwargs)
+        return pairs[np.random.default_rng(pairs.shape[0]).permutation(pairs.shape[0])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds())
+def test_neighbor_csr_orders_shuffled_pairs_without_a_sort(cloud):
+    pts, eps = cloud
+    index = SpatialIndex(points=pts, _tree=ShuffledPairs(pts))
+    spies = {}
+    with contextlib.ExitStack() as stack:
+        for cls, name in [(coo_matrix, "sum_duplicates"),
+                          (csr_matrix, "sum_duplicates"), (csr_matrix, "sort_indices"),
+                          (csc_matrix, "sum_duplicates"), (csc_matrix, "sort_indices")]:
+            spies[cls.__name__, name] = stack.enter_context(
+                mock.patch.object(cls, name, side_effect=getattr(cls, name), autospec=True)
+            )
+        indptr, cols = neighbor_csr(index, eps)
+    assert not [key for key, spy in spies.items() if spy.called]
+    ref_indptr, ref_cols = neighbor_csr_lexsort(pts, eps)
+    assert indptr.dtype == ref_indptr.dtype and cols.dtype == ref_cols.dtype
+    np.testing.assert_array_equal(indptr, ref_indptr)
+    np.testing.assert_array_equal(cols, ref_cols)
 
 
 @settings(max_examples=40, deadline=None)
