@@ -177,11 +177,9 @@ def distance_matrix(datasets, config: SolverConfig, n_threads: int = 1) -> np.nd
             logger.warning("distance_matrix pair (%d, %d) failed: %s", a, b, exc)
             return float("nan")
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            values = list(pool.map(solve_pair, tasks))
-    else:
-        values = [solve_pair(ab) for ab in tasks]
+    # one worker runs the pairs in order, as a serial loop would
+    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
+        values = list(pool.map(solve_pair, tasks))
     for (a, b), value in zip(tasks, values):
         out[a, b] = out[b, a] = value
     return out

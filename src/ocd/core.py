@@ -7,7 +7,7 @@ the dynamics evolves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -150,6 +150,11 @@ def custom_cost_model(
     return CostModel(cost=c, grad_x=gx, grad_y=gy, kind=KIND_CUSTOM)
 
 
+# the values each SolverConfig field annotation admits
+_FIELD_TYPES = {"float": (int, float, np.integer, np.floating), "int": (int, np.integer),
+                "str": (str,), "bool": (bool, np.bool_)}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """All knobs of one solver run.  Immutable; validated on construction."""
@@ -167,6 +172,12 @@ class SolverConfig:
     record_diagnostics: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int, so only the bool field takes one
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                    isinstance(value, bool) and f.type != "bool"):
+                raise InvalidConfig(f"{f.name} must be of type {f.type}, got {value!r}")
         if not self.epsilon > 0 or np.isnan(self.epsilon):
             raise InvalidConfig(f"epsilon must be > 0, got {self.epsilon}")
         if not (np.isfinite(self.epsilon_hat) and self.epsilon_hat >= 0):

@@ -5,9 +5,9 @@ exposed: the β-rule (largest ε keeping the cluster/particle ratio above
 β), a dimensional rule of thumb, and a log-log knee detector on the
 cluster curve.  None is canonical; sweeps are the honest way to pick ε.
 
-The β-rule and the CLI's knee read the cluster count at every grid ε off
-one minimum spanning forest (``neighbors.cluster_curve``), not off one
-graph per grid point.
+The β-rule reads its exact threshold off one minimum spanning forest; the
+CLI's knee, and the β-rule on an explicit grid, read every grid ε's count
+off one forest too (``neighbors.cluster_curve``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .errors import (
     OcdError,
 )
 from .neighbors import (
+    _TIE_BAND,
+    _spanning_forest,
     build_index,
     cluster_count_csr,
     cluster_curve,
@@ -71,20 +73,19 @@ def count_clusters(points, epsilon: float) -> ClusterReport:
 
 
 def epsilon_max(points, beta: float, grid=None) -> float:
-    """Largest grid ε whose cluster/particle ratio stays above β.
+    """Largest ε whose cluster/particle ratio stays above β.
 
-    The ratio is non-increasing in ε, so the answer is the grid point
-    before the first failure.  The counts come from one spanning forest
-    (``cluster_curve``) over the grid cut where the ratio is sure to fail,
-    so that its one pair query stays near the answer: once ⌈(1-β)·N·m/(m-1)⌉
-    points each have m-1 others within ε, with m = ⌊1/β⌋ + 1, clusters of
-    at least m points hold the count to βN.  The cut is the first grid point
-    at or above that many points' (m-1)-th nearest-neighbour distance.
-    Should rounding leave a pair at exactly that distance out, every grid
-    point above it fails, so the answer is the same.
-
-    ``grid=None`` takes the default grid, read off the same KD-tree and
-    nearest-neighbour query as the cut; ``cluster_curve`` reuses the tree.
+    The ratio never rises with ε.  Both paths query pairs out to about the
+    reach where it is sure to fail: once ⌈(1-β)·N·m/(m-1)⌉ points each have
+    m-1 others within ε, m = ⌊1/β⌋ + 1, clusters of m or more hold the
+    count to βN.  ``grid=None`` gives the exact threshold.  With F a
+    minimum spanning forest at the reach (widened by the tie band, lest the
+    tree round a pair out), the graph at ε has N - #{edges of F ≤ ε}
+    components, so the ratio fails from F's k-th shortest edge on, k the
+    fewest merges that bring it to β or below.  The answer is the midpoint between
+    that edge and the longest one below its tie band, clear of the tree's
+    rounding; with no k merges, the bounding-box diagonal, or 1.0 if that
+    is 0.  A ``grid`` snaps it to the grid point before the first failure.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidConfig(f"beta must lie in (0, 1), got {beta}")
@@ -96,23 +97,39 @@ def epsilon_max(points, beta: float, grid=None) -> float:
     n = index.n_points
     m = int(1.0 / beta) + 1
     dist = knn_query(index, index.points, k=min(m, n))[0]
-    if grid is None:
-        grid = _grid_from(index, dist[:, 1]) if n > 1 else np.array([1.0])
-    if m <= n:
-        need = math.ceil((1 - Fraction(beta)) * n * m / (m - 1))
-        reach = np.sort(dist[:, m - 1])[need - 1]
+    need = math.ceil((1 - Fraction(beta)) * n * m / (m - 1))
+    # below m points only the complete graph is sure to fail
+    reach = np.sort(dist[:, m - 1])[need - 1] if m <= n else np.inf
+    if grid is not None:
+        # a prefix of the grid, since the count never rises with ε
         grid = grid[: np.searchsorted(grid, reach) + 1]
-    # a prefix of the grid, since the count never rises with ε
-    n_ok = int(np.count_nonzero(cluster_curve(index, grid) / n > beta))
-    if n_ok == 0:
-        raise NoFeasibleEpsilon(
-            f"no grid epsilon keeps n_clusters/n_particles above beta={beta}"
-        )
-    return float(grid[n_ok - 1])
+        n_ok = int(np.count_nonzero(cluster_curve(index, grid) / n > beta))
+        eps = grid[n_ok - 1] if n_ok else 0.0
+    elif (k := n - int(np.count_nonzero(np.arange(1, n + 1) / n <= beta))) >= n:
+        eps = float(np.linalg.norm(index.extent)) or 1.0
+    else:
+        band = _TIE_BAND * index.points.shape[1]
+        forest = _spanning_forest(index, reach * (1.0 + band)) if reach > 0 else np.zeros(k)
+        edge = forest[k - 1]  # a duplicate pair's stand-in fails at every ε
+        lo = forest[forest < edge * (1.0 - band)].max(initial=0.0)
+        eps = (np.sqrt(lo) + np.sqrt(edge)) / 2 if edge > np.nextafter(0.0, 1.0) else 0.0
+    if eps == 0.0:
+        raise NoFeasibleEpsilon(f"no epsilon keeps n_clusters/n_particles above beta={beta}")
+    return float(eps)
 
 
-def _grid_from(index, nn) -> np.ndarray:
-    """The default grid over the indexed points, nn their nearest-neighbour gaps."""
+def default_epsilon_grid(points) -> np.ndarray:
+    """Geometric candidate grid from the data's own scales.
+
+    Spans from below the smallest nearest-neighbour gap over all points
+    (every point its own cluster) up to the bounding-box diagonal the
+    KD-tree stores (one giant cluster), at roughly factor-1.8 resolution.
+    """
+    pts = _as_points(points)
+    if pts.shape[0] < 2:
+        return np.array([1.0])
+    index = build_index(pts)
+    nn = knn_query(index, index.points, k=2)[0][:, 1]
     nn = nn[nn > 0]
     hi = float(np.linalg.norm(index.extent))
     if hi <= 0.0:
@@ -127,22 +144,8 @@ def _grid_from(index, nn) -> np.ndarray:
     return np.geomspace(lo, hi, n_points)
 
 
-def default_epsilon_grid(points) -> np.ndarray:
-    """Geometric candidate grid from the data's own scales.
-
-    Spans from below the smallest nearest-neighbour gap over all points
-    (every point its own cluster) up to the bounding-box diagonal the
-    KD-tree stores (one giant cluster), at roughly factor-1.8 resolution.
-    """
-    pts = _as_points(points)
-    if pts.shape[0] < 2:
-        return np.array([1.0])
-    index = build_index(pts)
-    return _grid_from(index, knn_query(index, index.points, k=2)[0][:, 1])
-
-
 def auto_epsilon(x_points, y_points, beta: float = 0.9, grid=None) -> float:
-    """β-rule cutoff: computed on each marginal separately, the smaller wins."""
+    """β-rule cutoff (``epsilon_max``) of each marginal; the smaller wins."""
     return min(epsilon_max(pts, beta, grid) for pts in (x_points, y_points))
 
 

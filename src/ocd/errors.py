@@ -61,7 +61,7 @@ class DimensionMismatch(OcdError):
 
 
 class NoFeasibleEpsilon(OcdError):
-    """No grid cutoff satisfies the requested cluster-ratio bound."""
+    """No cutoff satisfies the requested cluster-ratio bound."""
 
 
 class CurveTooShort(OcdError):

@@ -178,7 +178,10 @@ def _config_from_manifest(config) -> SolverConfig | None:
         raise ParseError(f"manifest config has unknown field {unknown[0]!r}")
     if "epsilon" not in config:
         raise ParseError("manifest config lacks required field 'epsilon'")
-    return SolverConfig(**config)
+    try:
+        return SolverConfig(**config)
+    except InvalidConfig as exc:
+        raise ParseError(f"manifest config: {exc}") from None
 
 
 def read_manifest(path) -> RunManifest:

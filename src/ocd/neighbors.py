@@ -21,6 +21,8 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptyInput, InvalidConfig, NonFiniteInput, NonFiniteResult
 
+_TIE_BAND = 1e-12  # relative, per dimension: see cluster_curve
+
 
 @dataclass
 class SpatialIndex:
@@ -161,6 +163,21 @@ def _squared_lengths(points: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.n
     return total
 
 
+def _spanning_forest(index: SpatialIndex, radius: float) -> np.ndarray:
+    """Ascending squared edge lengths of a minimum spanning forest at radius."""
+    n = index.n_points
+    indptr, cols = neighbor_csr(index, radius)
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
+    lengths = _squared_lengths(index.points, rows, cols)
+    del rows
+    # csgraph reads a stored zero as no edge, so an exact duplicate pair
+    # stands in with the smallest positive length, still <= eps**2 for
+    # any eps above 1e-161
+    lengths[lengths == 0.0] = np.nextafter(0.0, 1.0)
+    graph = csr_matrix((lengths, cols, indptr), shape=(n, n))
+    return np.sort(minimum_spanning_tree(graph, overwrite=True).data)
+
+
 def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
     """Connected components of the ε-ball graph at each ε of ``grid``.
 
@@ -172,7 +189,7 @@ def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
     (single linkage is the minimum spanning tree).
 
     Ties go to the tree, whose own rounding may put a pair at distance eps
-    on the other side: where eps**2 is within a relative 1e-12 * dim of a
+    on the other side: where eps**2 is within a relative _TIE_BAND * dim of a
     forest edge's length, the count is neighbor_csr's at eps.  By the cycle
     property, any edge the tree rounds across eps**2 moves the count only
     through a forest edge between eps**2 and its length, so inside the band.
@@ -181,20 +198,10 @@ def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0 or not (grid > 0).all():
         raise InvalidConfig("grid must hold at least one epsilon, all > 0")
-    n = index.n_points
-    indptr, cols = neighbor_csr(index, grid.max())
-    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
-    lengths = _squared_lengths(index.points, rows, cols)
-    del rows
-    # csgraph reads a stored zero as no edge, so an exact duplicate pair
-    # stands in with the smallest positive length, still <= eps**2 for
-    # any eps above 1e-161
-    lengths[lengths == 0.0] = np.nextafter(0.0, 1.0)
-    graph = csr_matrix((lengths, cols, indptr), shape=(n, n))
-    forest = np.sort(minimum_spanning_tree(graph, overwrite=True).data)
+    forest = _spanning_forest(index, grid.max())
     squared = grid * grid
-    counts = n - np.searchsorted(forest, squared, side="right")
-    band = 1e-12 * index.points.shape[1]
+    counts = index.n_points - np.searchsorted(forest, squared, side="right")
+    band = _TIE_BAND * index.points.shape[1]
     ties = (np.searchsorted(forest, squared * (1.0 + band), side="right")
             > np.searchsorted(forest, squared * (1.0 - band), side="left"))
     for k in np.flatnonzero(ties):

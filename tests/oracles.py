@@ -152,6 +152,41 @@ def epsilon_max_scan(points, beta, grid):
     return best
 
 
+def next_count_change(points, epsilon):
+    """A radius just past the first count change above epsilon, or None.
+
+    Kruskal's scan over every pair, sorted by distance, finds the nearest
+    pair farther than epsilon that joins two clusters of the epsilon graph.
+    The radius lies halfway from its distance to the next larger pair
+    distance (twice its distance when none is larger), so the graph there
+    holds every pair tied with it and none farther.  None when no pair
+    farther than epsilon joins two clusters.  Squared lengths are summed in
+    column order and compared with epsilon**2, as the KD-tree rounds them.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    ii, jj = np.triu_indices(n, k=1)
+    squared = sum((pts[ii, c] - pts[jj, c]) ** 2 for c in range(pts.shape[1]))
+    dist = np.sqrt(squared)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for p in np.argsort(dist, kind="stable"):
+        ri, rj = find(int(ii[p])), find(int(jj[p]))
+        if ri == rj:
+            continue
+        if squared[p] > epsilon * epsilon:
+            farther = dist[dist > dist[p]]
+            return (dist[p] + farther.min()) / 2 if farther.size else 2 * dist[p]
+        parent[max(ri, rj)] = min(ri, rj)
+    return None
+
+
 def hungarian_min_cost(cost_matrix):
     """O(n^3) Hungarian algorithm (potentials form), row -> column.
 

@@ -1,6 +1,8 @@
 """Every committed benchmark record (BENCH_*.json at the repository root)
 recomputes from its own per-seed values, and its claim names what
-BENCHMARK.json measures."""
+BENCHMARK.json measures.  A record that claims no gain ("claim": null)
+carries instead, per metric, whether the change's median is worse than the
+parent's by no more than the metric's bound."""
 
 import json
 from pathlib import Path
@@ -52,6 +54,12 @@ def test_bench_record_recomputes(path):
         _check_workloads(record["superseded_runs"]["workloads"])
 
     claim = record["claim"]
+    if claim is None:
+        for w in record["workloads"].values():
+            for m in w["metrics"].values():
+                worse = m["median_change_rel"] if m["better"] == "lower" else -m["median_change_rel"]
+                assert m["within_bound"] == (worse <= m["bound"])
+        return
     assert claim["workload"] in WORKLOADS and claim["metric"] in END_TO_END
     m = record["workloads"][claim["workload"]]["metrics"][claim["metric"]]
     assert claim["better"] == m["better"]

@@ -47,6 +47,38 @@ def test_solve_runs_are_byte_identical(clouds, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.fixture
+def brenier_clouds(tmp_path):
+    # x ~ N(0, I), y = z + z**3 / 2 with z ~ N(0, I): 200 points in d = 2
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((200, 2))
+    z = rng.standard_normal((200, 2))
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_samples_csv(x, xp)
+    write_samples_csv(z + z**3 / 2, yp)
+    return xp, yp
+
+
+def test_solve_crit_resolves_a_pinned_epsilon(brenier_clouds, tmp_path):
+    # the knee of x's cluster curve on the default grid: a change to the
+    # grid, the curve or the knee shows up here
+    xp, yp = brenier_clouds
+    out = tmp_path / "crit"
+    assert main(["solve", "--x", str(xp), "--y", str(yp), "--eps", "crit",
+                 "--max-steps", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["extra"]["resolved_epsilon"] == 1.4112568145631053
+
+
+def test_solve_numeric_epsilon_writes_the_same_pairs_twice(brenier_clouds, tmp_path):
+    xp, yp = brenier_clouds
+    argv = ["solve", "--x", str(xp), "--y", str(yp), "--eps", "0.2", "--max-steps", "4"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
+    assert (a / "pairs.csv").read_bytes() == (b / "pairs.csv").read_bytes()
+
+
 @pytest.mark.parametrize("eps_flag", ["auto", "rule", "crit"])
 def test_solve_named_epsilon_rules(clouds, tmp_path, eps_flag):
     xp, yp = clouds

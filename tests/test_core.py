@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from ocd import (
     InvalidConfig,
     EmptyInput,
     NonFiniteInput,
+    ParseError,
     ShapeMismatch,
     SolverConfig,
     custom_cost_model,
     l2_cost_model,
     new_ensemble,
+    read_manifest,
 )
 
 
@@ -119,6 +123,46 @@ def test_solver_config_defaults():
 def test_solver_config_rejects(kwargs):
     with pytest.raises(InvalidConfig):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("route", ["constructor", "manifest"])
+@pytest.mark.parametrize("field, value", [
+    ("dt", "x"),
+    ("stagnation_window", "5"),
+    ("epsilon", "0.3"),
+    ("max_steps", 2.5),
+    ("seed", 1.5),
+])
+def test_solver_config_field_of_the_wrong_type(field, value, route, tmp_path):
+    # a typed error, not a raw TypeError from a range check or a silently
+    # accepted fraction; a manifest reports it as a parse error
+    kwargs = {"epsilon": 0.3, field: value}
+    if route == "constructor":
+        with pytest.raises(InvalidConfig, match=field):
+            SolverConfig(**kwargs)
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"subcommand": "solve", "config": kwargs}))
+        with pytest.raises(ParseError, match=field):
+            read_manifest(path)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(epsilon=True),
+    dict(epsilon=0.5, max_steps=True),
+    dict(epsilon=0.5, estimator=1),
+    dict(epsilon=0.5, record_diagnostics="yes"),
+])
+def test_solver_config_rejects_bools_as_numbers_and_numbers_as_names(kwargs):
+    with pytest.raises(InvalidConfig):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_accepts_numpy_scalars():
+    cfg = SolverConfig(epsilon=np.float64(0.3), dt=np.float32(0.1), max_steps=np.int64(5),
+                       stagnation_window=np.int32(2), seed=np.uint8(3), gamma_abs=0,
+                       record_diagnostics=np.bool_(False))
+    assert cfg.max_steps == 5 and cfg.gamma_abs == 0
 
 
 def test_solver_config_allows_infinite_epsilon():

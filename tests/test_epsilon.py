@@ -27,7 +27,7 @@ from ocd import (
     run,
 )
 
-from oracles import epsilon_max_scan
+from oracles import epsilon_max_scan, next_count_change
 
 
 def test_count_clusters_line_example():
@@ -256,19 +256,41 @@ BETAS = st.sampled_from([0.05, 0.2, 1 / 3, 0.45, 0.5, 0.55, 0.75, 0.9, 0.99])
 
 @settings(max_examples=300, deadline=None)
 @given(default_grid_clouds(), default_grid_clouds(), BETAS)
-def test_epsilon_max_default_grid_is_default_epsilon_grid(x, y, beta):
-    # grid=None reads the default grid off the tree and the query of the cut;
-    # the answer must be the one on the grid that default_epsilon_grid builds
+def test_epsilon_max_is_the_exact_beta_threshold(x, y, beta):
+    # grid=None answers inside the last run of radii that keep the ratio:
+    # it holds there and fails from the next count change on.  A cloud
+    # whose exact duplicates alone bring the ratio to beta has no answer.
     per_marginal = []
     for pts in (x, y):
+        n = pts.shape[0]
         eps = _feasible(lambda: epsilon_max(pts, beta))
-        assert eps == _feasible(lambda: epsilon_max(pts, beta, default_epsilon_grid(pts)))
         per_marginal.append(eps)
+        assert (eps is None) == (np.unique(pts, axis=0).shape[0] / n <= beta)
+        if eps is None:
+            continue
+        assert count_clusters(pts, eps).n_clusters / n > beta
+        if 1 / n > beta:
+            # one cluster keeps the ratio: the answer is the diagonal
+            assert eps == (float(np.linalg.norm(np.ptp(pts, axis=0))) or 1.0)
+        else:
+            beyond = next_count_change(pts, eps)
+            assert count_clusters(pts, beyond).n_clusters / n <= beta
     if None in per_marginal:
         with pytest.raises(NoFeasibleEpsilon):
             auto_epsilon(x, y, beta)
     else:
         assert auto_epsilon(x, y, beta) == min(per_marginal)
+
+
+def test_auto_epsilon_does_not_move_with_the_draw():
+    # the answer must not step with each draw's smallest gap: snapped to
+    # the default grid, these 12 draws resolve values 1.64x apart
+    values = []
+    for seed in range(1, 13):
+        rng = np.random.default_rng(seed)
+        values.append(auto_epsilon(rng.standard_normal((20000, 2)),
+                                   rng.standard_normal((20000, 2))))
+    assert max(values) / min(values) <= 1.05
 
 
 def test_auto_epsilon_builds_one_tree_and_one_query_per_marginal(monkeypatch):
