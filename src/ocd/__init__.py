@@ -53,6 +53,7 @@ from .epsilon import (
     EpsilonCritResult,
     SweepRow,
     auto_epsilon,
+    cluster_curve,
     count_clusters,
     default_epsilon_grid,
     epsilon_crit,
@@ -104,7 +105,6 @@ from .neighbors import (
     SpatialIndex,
     build_index,
     cluster_count_csr,
-    cluster_curve,
     neighbor_csr,
 )
 from .samplers import (

@@ -111,6 +111,17 @@ def fit_paired_map(x0, y0, cost: CostModel, config: SolverConfig, k_neighbors: i
     return PairedMap(final.x_samples, final.y_samples, k_neighbors), result
 
 
+def _training_pixels(source: ImageSamples, target: ImageSamples, n_train: int, seed: int):
+    """The n_train source and target pixels, drawn from seed, that color_transfer solves on."""
+    n_px = min(source.pixels.shape[0], target.pixels.shape[0])
+    if not 1 <= n_train <= n_px:
+        raise InvalidConfig(f"n_train must lie in [1, {n_px}], got {n_train}")
+    rng = np.random.default_rng(seed)
+    x0 = source.pixels[rng.choice(source.pixels.shape[0], size=n_train, replace=False)]
+    y0 = target.pixels[rng.choice(target.pixels.shape[0], size=n_train, replace=False)]
+    return x0, y0
+
+
 def color_transfer(
     source: ImageSamples,
     target: ImageSamples,
@@ -125,14 +136,9 @@ def color_transfer(
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidConfig(f"alpha must lie in [0, 1], got {alpha}")
-    n_px = min(source.pixels.shape[0], target.pixels.shape[0])
-    if not 1 <= n_train <= n_px:
-        raise InvalidConfig(f"n_train must lie in [1, {n_px}], got {n_train}")
+    x0, y0 = _training_pixels(source, target, n_train, config.seed)
     if alpha == 0.0:
         return ImageSamples(source.pixels.copy(), source.width, source.height)
-    rng = np.random.default_rng(config.seed)
-    x0 = source.pixels[rng.choice(source.pixels.shape[0], size=n_train, replace=False)]
-    y0 = target.pixels[rng.choice(target.pixels.shape[0], size=n_train, replace=False)]
     paired, _ = fit_paired_map(x0, y0, l2_cost_model(), config,
                                k_neighbors=min(8, n_train))
     mapped = evaluate_map(paired, source.pixels)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as ocd_io
-from .applications import color_transfer, distance_matrix
+from .applications import _training_pixels, color_transfer, distance_matrix
 from .core import (
     ESTIMATOR_CONSTANT,
     ESTIMATOR_LINEAR,
@@ -33,6 +33,7 @@ from .dynamics import run
 from .emd import emd
 from .epsilon import (
     auto_epsilon,
+    cluster_curve,
     default_epsilon_grid,
     epsilon_crit,
     epsilon_rule_of_thumb,
@@ -45,7 +46,7 @@ from .gaussian import (
     integrate_riccati,
     kappa_closed_form,
 )
-from .neighbors import build_index, cluster_curve
+from .neighbors import build_index
 from .samplers import (
     SAMPLERS,
     sample_banana,
@@ -88,8 +89,9 @@ def _resolve_epsilon(spec: str, x: np.ndarray, y: np.ndarray) -> float:
     if spec == "rule":
         return epsilon_rule_of_thumb(x.shape[1], x.shape[0])
     if spec == "crit":
-        grid = default_epsilon_grid(x)
-        return epsilon_crit(zip(grid, cluster_curve(build_index(x), grid))).epsilon
+        index = build_index(x)
+        grid = default_epsilon_grid(index)
+        return epsilon_crit(zip(grid, cluster_curve(index, grid))).epsilon
     try:
         return float(spec)
     except ValueError:
@@ -213,7 +215,9 @@ def cmd_dist_matrix(args) -> int:
 def cmd_color_transfer(args) -> int:
     source = ocd_io.read_ppm(args.source)
     target = ocd_io.read_ppm(args.target)
-    epsilon = _resolve_epsilon(args.eps, source.pixels, target.pixels)
+    # ε is resolved on the subsample the transport is solved on
+    x0, y0 = _training_pixels(source, target, args.n_train, args.seed)
+    epsilon = _resolve_epsilon(args.eps, x0, y0)
     config = dataclasses.replace(_make_config(args, epsilon),
                                  record_diagnostics=False)
     result = color_transfer(source, target, config, args.alpha, args.n_train)

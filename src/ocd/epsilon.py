@@ -5,9 +5,10 @@ exposed: the β-rule (largest ε keeping the cluster/particle ratio above
 β), a dimensional rule of thumb, and a log-log knee detector on the
 cluster curve.  None is canonical; sweeps are the honest way to pick ε.
 
-The β-rule reads its exact threshold off one minimum spanning forest; the
-CLI's knee, and the β-rule on an explicit grid, read every grid ε's count
-off one forest too (``neighbors.cluster_curve``).
+The β-rule reads its exact threshold off one minimum spanning forest of
+neighbor_csr's graph; cluster_curve, behind the CLI's knee and the β-rule
+on an explicit grid, reads every grid ε's count off one.  Its tie rule
+hands a count within rounding of a forest edge back to the tree.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .core import CostModel, SolverConfig, new_ensemble
 from .dynamics import run
@@ -29,15 +32,12 @@ from .errors import (
     NonFiniteInput,
     OcdError,
 )
-from .neighbors import (
-    _TIE_BAND,
-    _spanning_forest,
-    build_index,
-    cluster_count_csr,
-    cluster_curve,
-    knn_query,
-    neighbor_csr,
-)
+from .neighbors import SpatialIndex, build_index, cluster_count_csr, knn_query, neighbor_csr
+
+_TIE_BAND = 1e-12  # relative, per dimension: see cluster_curve
+# csgraph reads a stored zero as no edge, so an exact duplicate pair stands
+# in with the smallest positive length; the tree merges it at every eps > 0
+_STAND_IN = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,60 @@ def count_clusters(points, epsilon: float) -> ClusterReport:
     indptr, cols = neighbor_csr(index, epsilon)
     n_clusters, labels = cluster_count_csr(indptr, cols)
     return ClusterReport(epsilon=float(epsilon), n_clusters=n_clusters, cluster_labels=labels)
+
+
+def _spanning_forest(index: SpatialIndex, radius: float) -> np.ndarray:
+    """Ascending squared edge lengths of a minimum spanning forest at radius.
+
+    Each length is summed over the columns in order.  From eight columns on
+    the tree may round a length the other way, so ``length <= eps**2`` is
+    its verdict except at ties (see cluster_curve).
+    """
+    n = index.n_points
+    indptr, cols = neighbor_csr(index, radius)
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
+    lengths = np.zeros(cols.shape[0])
+    for col in index.points.T:
+        diff = col[rows] - col[cols]
+        diff *= diff
+        lengths += diff
+    del rows
+    lengths[lengths == 0.0] = _STAND_IN
+    graph = csr_matrix((lengths, cols, indptr), shape=(n, n))
+    return np.sort(minimum_spanning_tree(graph, overwrite=True).data)
+
+
+def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
+    """Connected components of the ε-ball graph at each ε of ``grid``.
+
+    Equals ``cluster_count_csr(*neighbor_csr(index, eps))[0]`` for every eps
+    in the grid, from the one graph ``neighbor_csr`` builds at the largest
+    eps, complete-graph shortcut included.  By Kruskal's algorithm, a
+    minimum spanning forest F of that graph answers every smaller eps too:
+    the graph at eps has N - #{edges of F no longer than eps} components
+    (single linkage is the minimum spanning tree).  A duplicate pair's
+    stand-in edge counts at every eps, also where eps**2 underflows to 0.
+
+    Ties go to the tree, whose own rounding may put a pair at distance eps
+    on the other side: where eps**2 is within a relative _TIE_BAND * dim of a
+    forest edge's length, the count is neighbor_csr's at eps.  By the cycle
+    property, any edge the tree rounds across eps**2 moves the count only
+    through a forest edge between eps**2 and its length, so inside the band.
+    The grid may be in any order; the result follows it.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0 or not (grid > 0).all():
+        raise InvalidConfig("grid must hold at least one epsilon, all > 0")
+    forest = _spanning_forest(index, grid.max())
+    squared = grid * grid
+    merged = np.searchsorted(forest, np.maximum(squared, _STAND_IN), side="right")
+    counts = index.n_points - merged
+    band = _TIE_BAND * index.points.shape[1]
+    ties = (np.searchsorted(forest, squared * (1.0 + band), side="right")
+            > np.searchsorted(forest, squared * (1.0 - band), side="left"))
+    for k in np.flatnonzero(ties):
+        counts[k] = cluster_count_csr(*neighbor_csr(index, grid[k]))[0]
+    return counts
 
 
 def epsilon_max(points, beta: float, grid=None) -> float:
@@ -112,23 +166,23 @@ def epsilon_max(points, beta: float, grid=None) -> float:
         forest = _spanning_forest(index, reach * (1.0 + band)) if reach > 0 else np.zeros(k)
         edge = forest[k - 1]  # a duplicate pair's stand-in fails at every ε
         lo = forest[forest < edge * (1.0 - band)].max(initial=0.0)
-        eps = (np.sqrt(lo) + np.sqrt(edge)) / 2 if edge > np.nextafter(0.0, 1.0) else 0.0
+        eps = (np.sqrt(lo) + np.sqrt(edge)) / 2 if edge > _STAND_IN else 0.0
     if eps == 0.0:
         raise NoFeasibleEpsilon(f"no epsilon keeps n_clusters/n_particles above beta={beta}")
     return float(eps)
 
 
-def default_epsilon_grid(points) -> np.ndarray:
-    """Geometric candidate grid from the data's own scales.
+def default_epsilon_grid(index: SpatialIndex) -> np.ndarray:
+    """Geometric candidate grid from the indexed points' own scales.
 
     Spans from below the smallest nearest-neighbour gap over all points
     (every point its own cluster) up to the bounding-box diagonal the
     KD-tree stores (one giant cluster), at roughly factor-1.8 resolution.
+    Takes the index that ``cluster_curve`` then reads, so a curve over this
+    grid builds one tree.
     """
-    pts = _as_points(points)
-    if pts.shape[0] < 2:
+    if index.n_points < 2:
         return np.array([1.0])
-    index = build_index(pts)
     nn = knn_query(index, index.points, k=2)[0][:, 1]
     nn = nn[nn > 0]
     hi = float(np.linalg.norm(index.extent))

@@ -5,9 +5,8 @@ always including i itself.  Queries are exact: ties at distance eps are in,
 and no tolerance fudge is applied.  A space-partitioning tree keeps the build
 at O(N log N) and queries output-sensitive.  The ε-ball graph has one
 format, its strict upper triangle U (each unordered pair once), and one
-query, neighbor_csr; cluster_count_csr and cluster_curve read its U.
-The tree alone decides ties: cluster_curve, which sums lengths its own way,
-asks neighbor_csr at an eps within rounding of one of its edge lengths.
+query, neighbor_csr.  cluster_count_csr reads its components; the cluster
+curve in ocd.epsilon reads its minimum spanning forest.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyInput, InvalidConfig, NonFiniteInput, NonFiniteResult
-
-_TIE_BAND = 1e-12  # relative, per dimension: see cluster_curve
 
 
 @dataclass
@@ -146,64 +143,3 @@ def cluster_count_csr(indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.nda
     )
     n_comp, labels = connected_components(graph, directed=False)
     return int(n_comp), labels
-
-
-def _squared_lengths(points: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Squared lengths of the pairs (ii, jj), the columns summed in order.
-
-    From eight columns on the tree may round a length the other way, so
-    ``length <= eps**2`` is its verdict except at ties (see cluster_curve).
-    """
-    total = np.zeros(ii.shape[0])
-    for c in range(points.shape[1]):
-        col = points[:, c]
-        diff = col[ii] - col[jj]
-        diff *= diff
-        total += diff
-    return total
-
-
-def _spanning_forest(index: SpatialIndex, radius: float) -> np.ndarray:
-    """Ascending squared edge lengths of a minimum spanning forest at radius."""
-    n = index.n_points
-    indptr, cols = neighbor_csr(index, radius)
-    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
-    lengths = _squared_lengths(index.points, rows, cols)
-    del rows
-    # csgraph reads a stored zero as no edge, so an exact duplicate pair
-    # stands in with the smallest positive length, still <= eps**2 for
-    # any eps above 1e-161
-    lengths[lengths == 0.0] = np.nextafter(0.0, 1.0)
-    graph = csr_matrix((lengths, cols, indptr), shape=(n, n))
-    return np.sort(minimum_spanning_tree(graph, overwrite=True).data)
-
-
-def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
-    """Connected components of the ε-ball graph at each ε of ``grid``.
-
-    Equals ``cluster_count_csr(*neighbor_csr(index, eps))[0]`` for every eps
-    in the grid, from the one graph ``neighbor_csr`` builds at the largest
-    eps, complete-graph shortcut included.  By Kruskal's algorithm, a
-    minimum spanning forest F of that graph answers every smaller eps too:
-    the graph at eps has N - #{edges of F no longer than eps} components
-    (single linkage is the minimum spanning tree).
-
-    Ties go to the tree, whose own rounding may put a pair at distance eps
-    on the other side: where eps**2 is within a relative _TIE_BAND * dim of a
-    forest edge's length, the count is neighbor_csr's at eps.  By the cycle
-    property, any edge the tree rounds across eps**2 moves the count only
-    through a forest edge between eps**2 and its length, so inside the band.
-    The grid may be in any order; the result follows it.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0 or not (grid > 0).all():
-        raise InvalidConfig("grid must hold at least one epsilon, all > 0")
-    forest = _spanning_forest(index, grid.max())
-    squared = grid * grid
-    counts = index.n_points - np.searchsorted(forest, squared, side="right")
-    band = _TIE_BAND * index.points.shape[1]
-    ties = (np.searchsorted(forest, squared * (1.0 + band), side="right")
-            > np.searchsorted(forest, squared * (1.0 - band), side="left"))
-    for k in np.flatnonzero(ties):
-        counts[k] = cluster_count_csr(*neighbor_csr(index, grid[k]))[0]
-    return counts

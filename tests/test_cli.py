@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from ocd import ImageSamples, SolverConfig, read_samples_csv, write_ppm, write_samples_csv
+from ocd import (
+    ImageSamples,
+    SolverConfig,
+    auto_epsilon,
+    read_ppm,
+    read_samples_csv,
+    write_ppm,
+    write_samples_csv,
+)
 from ocd.cli import _make_config, build_parser, main
 from ocd.io import SWEEP_COLUMNS
 
@@ -68,6 +76,33 @@ def test_solve_crit_resolves_a_pinned_epsilon(brenier_clouds, tmp_path):
                  "--max-steps", "2", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extra"]["resolved_epsilon"] == 1.4112568145631053
+
+
+def test_solve_crit_builds_one_tree_and_one_query(brenier_clouds, tmp_path, monkeypatch):
+    # the default grid and the cluster curve read the same index of x
+    import ocd.cli
+    import ocd.epsilon
+
+    xp, yp = brenier_clouds
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ocd.cli, "build_index")
+    for name in ("build_index", "knn_query"):
+        counted(ocd.epsilon, name)
+    assert main(["solve", "--x", str(xp), "--y", str(yp), "--eps", "crit",
+                 "--max-steps", "1", "--out", str(tmp_path / "crit")]) == 0
+    assert [name for name, _ in calls] == ["build_index", "knn_query"]
+    x = read_samples_csv(xp)
+    np.testing.assert_array_equal(calls[0][1], x)
+    np.testing.assert_array_equal(calls[1][1].points, x)
 
 
 def test_solve_numeric_epsilon_writes_the_same_pairs_twice(brenier_clouds, tmp_path):
@@ -324,3 +359,23 @@ def test_color_transfer_subcommand(tmp_path):
     assert code == 0
     # alpha 0 keeps the source image: bytes survive the quantization round trip
     assert (out / "transferred.ppm").read_bytes() == src.read_bytes()
+
+
+def test_color_transfer_resolves_epsilon_on_the_training_pixels(tmp_path):
+    # 87.5 % of the target's 14400 colours are distinct, so no cutoff keeps
+    # 90 % of all its pixels apart; the 2000 pixels the transport is solved
+    # on are almost all distinct, and auto resolves on those
+    w = h = 120
+    i, j = np.divmod(np.arange(w * h), w)
+    src, tgt = tmp_path / "s.ppm", tmp_path / "t.ppm"
+    write_ppm(ImageSamples(np.column_stack([i, j, 255 - i]) / 255.0, w, h), src)
+    write_ppm(ImageSamples(np.column_stack([255 - i, j * 7 // 8, i // 2]) / 255.0, w, h), tgt)
+    out = tmp_path / "ct"
+    assert main(["color-transfer", "--source", str(src), "--target", str(tgt),
+                 "--max-steps", "2", "--out", str(out)]) == 0
+    # the draw color_transfer makes: --n-train rows of each image from --seed
+    rng = np.random.default_rng(0)
+    x0 = read_ppm(src).pixels[rng.choice(w * h, size=2000, replace=False)]
+    y0 = read_ppm(tgt).pixels[rng.choice(w * h, size=2000, replace=False)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["epsilon"] == auto_epsilon(x0, y0)

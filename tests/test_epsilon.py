@@ -105,8 +105,14 @@ def epsilon_cases(draw):
     return pts, beta, grid
 
 
+# a duplicate pair and a grid point whose square underflows to 0: the
+# tree merges the pair there, so the ratio already fails at the first point
+UNDERFLOW_CASE = (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), 0.7, [1e-170, 1e-160, 0.5])
+
+
 @settings(max_examples=300, deadline=None)
 @given(epsilon_cases())
+@example(UNDERFLOW_CASE)
 def test_epsilon_max_equals_grid_scan(case):
     pts, beta, grid = case
     try:
@@ -120,6 +126,7 @@ def test_epsilon_max_equals_grid_scan(case):
 
 @settings(max_examples=150, deadline=None)
 @given(epsilon_cases())
+@example(UNDERFLOW_CASE)
 def test_cluster_curve_equals_count_per_grid_point(case):
     # the bounding-box diagonal, one ulp above it and inf: the tree decides
     # at the first two, the complete-graph shortcut at inf
@@ -135,7 +142,7 @@ def test_cluster_curve_reads_one_graph_at_the_largest_epsilon():
     pts = np.random.default_rng(3).standard_normal((50, 2))
     index = build_index(pts)
     grid = [0.3, 0.05, 1.2, 0.6]
-    with mock.patch("ocd.neighbors.neighbor_csr", wraps=neighbor_csr) as spy:
+    with mock.patch("ocd.epsilon.neighbor_csr", wraps=neighbor_csr) as spy:
         curve = cluster_curve(index, grid)
     spy.assert_called_once_with(index, 1.2)
     assert curve.tolist() == [count_clusters(pts, e).n_clusters for e in grid]
@@ -174,7 +181,7 @@ def test_cluster_curve_recounts_only_at_the_ties():
     ties = tree_distance_grid(pts)
     grid = [0.5 * ties[0], *ties, 2.0 * ties[-1]]
     index = build_index(pts)
-    with mock.patch("ocd.neighbors.neighbor_csr", wraps=neighbor_csr) as spy:
+    with mock.patch("ocd.epsilon.neighbor_csr", wraps=neighbor_csr) as spy:
         curve = cluster_curve(index, grid)
     assert [c.args for c in spy.call_args_list] == [(index, grid[-1])] + [
         (index, t) for t in ties]
@@ -190,7 +197,7 @@ def test_cluster_curve_validation():
 
 def test_default_grid_spans_data_scales():
     pts = np.random.default_rng(1).standard_normal((200, 2))
-    grid = default_epsilon_grid(pts)
+    grid = default_epsilon_grid(build_index(pts))
     assert 16 <= grid.size <= 48
     assert np.all(np.diff(grid) > 0)
     span = pts.max(axis=0) - pts.min(axis=0)
@@ -200,12 +207,12 @@ def test_default_grid_spans_data_scales():
 
 
 def test_default_grid_single_point():
-    np.testing.assert_allclose(default_epsilon_grid(np.array([[3.0]])), [1.0])
+    np.testing.assert_allclose(default_epsilon_grid(build_index(np.array([[3.0]]))), [1.0])
 
 
 def test_default_grid_tolerates_duplicates():
     pts = np.array([[0.0], [0.0], [1.0], [2.0]])
-    grid = default_epsilon_grid(pts)
+    grid = default_epsilon_grid(build_index(pts))
     assert np.all(grid > 0) and np.all(np.isfinite(grid))
 
 
