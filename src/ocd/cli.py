@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as ocd_io
-from .applications import _training_pixels, color_transfer, distance_matrix
+from .applications import ImageSamples, _training_pixels, color_transfer, distance_matrix
 from .core import (
     ESTIMATOR_CONSTANT,
     ESTIMATOR_LINEAR,
@@ -61,14 +61,15 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     default = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
     parser.add_argument("--eps", default="auto",
                         help="cutoff: a number, or auto | rule | crit")
-    parser.add_argument("--eps-hat", type=float, default=default["epsilon_hat"],
+    parser.add_argument("--eps-hat", dest="epsilon_hat", metavar="EPS_HAT", type=float,
+                        default=default["epsilon_hat"],
                         help="ridge regularizer for the linear estimator")
     parser.add_argument("--dt", type=float, default=default["dt"])
     parser.add_argument("--max-steps", type=int, default=default["max_steps"])
     parser.add_argument("--gamma-abs", type=float, default=default["gamma_abs"])
     parser.add_argument("--gamma-rel", type=float, default=default["gamma_rel"])
-    parser.add_argument("--window", type=int, default=default["stagnation_window"],
-                        help="stagnation window in steps")
+    parser.add_argument("--window", dest="stagnation_window", metavar="WINDOW", type=int,
+                        default=default["stagnation_window"], help="stagnation window in steps")
     parser.add_argument("--estimator", choices=[ESTIMATOR_CONSTANT, ESTIMATOR_LINEAR],
                         default=default["estimator"])
     parser.add_argument("--stepper", choices=[STEPPER_EULER, STEPPER_RK4],
@@ -101,18 +102,10 @@ def _resolve_epsilon(spec: str, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _make_config(args, epsilon: float) -> SolverConfig:
-    return SolverConfig(
-        epsilon=epsilon,
-        epsilon_hat=args.eps_hat,
-        dt=args.dt,
-        max_steps=args.max_steps,
-        gamma_abs=args.gamma_abs,
-        gamma_rel=args.gamma_rel,
-        stagnation_window=args.window,
-        estimator=args.estimator,
-        stepper=args.stepper,
-        seed=args.seed,
-    )
+    # every solver flag but --eps stores under its SolverConfig field's name
+    return SolverConfig(epsilon=epsilon, **{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(SolverConfig) if hasattr(args, f.name)})
 
 
 def _write_manifest(args, subcommand, config, inputs, out_dir, extra=None) -> None:
@@ -217,10 +210,17 @@ def cmd_color_transfer(args) -> int:
     target = ocd_io.read_ppm(args.target)
     # ε is resolved on the subsample the transport is solved on
     x0, y0 = _training_pixels(source, target, args.n_train, args.seed)
-    epsilon = _resolve_epsilon(args.eps, x0, y0)
-    config = dataclasses.replace(_make_config(args, epsilon),
-                                 record_diagnostics=False)
-    result = color_transfer(source, target, config, args.alpha, args.n_train)
+    if args.alpha == 0.0 and args.eps in ("auto", "rule", "crit"):
+        # nothing is solved at alpha 0, so no rule reads the pixels and no
+        # config is recorded; the solver flags are checked all the same
+        _make_config(args, 1.0)
+        config = None
+        result = ImageSamples(source.pixels.copy(), source.width, source.height)
+    else:
+        epsilon = _resolve_epsilon(args.eps, x0, y0)
+        config = dataclasses.replace(_make_config(args, epsilon),
+                                     record_diagnostics=False)
+        result = color_transfer(source, target, config, args.alpha, args.n_train)
     out = _out_dir(args)
     ocd_io.write_ppm(result, out / "transferred.ppm")
     _write_manifest(args, "color-transfer", config,

@@ -29,12 +29,11 @@ from .errors import (
     CurveTooShort,
     InvalidConfig,
     NoFeasibleEpsilon,
-    NonFiniteInput,
+    NonFiniteResult,
     OcdError,
 )
 from .neighbors import SpatialIndex, build_index, cluster_count_csr, knn_query, neighbor_csr
 
-_TIE_BAND = 1e-12  # relative, per dimension: see cluster_curve
 # csgraph reads a stored zero as no edge, so an exact duplicate pair stands
 # in with the smallest positive length; the tree merges it at every eps > 0
 _STAND_IN = np.nextafter(0.0, 1.0)
@@ -49,11 +48,7 @@ class ClusterReport:
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if not np.isfinite(pts).all():
-        raise NonFiniteInput("points contain NaN or Inf")
-    return pts
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def count_clusters(points, epsilon: float) -> ClusterReport:
@@ -83,10 +78,11 @@ def _spanning_forest(index: SpatialIndex, radius: float) -> np.ndarray:
     indptr, cols = neighbor_csr(index, radius)
     rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
     lengths = np.zeros(cols.shape[0])
-    for col in index.points.T:
-        diff = col[rows] - col[cols]
-        diff *= diff
-        lengths += diff
+    with np.errstate(over="ignore"):  # a length past the float range is inf
+        for col in index.points.T:
+            diff = col[rows] - col[cols]
+            diff *= diff
+            lengths += diff
     del rows
     lengths[lengths == 0.0] = _STAND_IN
     graph = csr_matrix((lengths, cols, indptr), shape=(n, n))
@@ -105,7 +101,7 @@ def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
     stand-in edge counts at every eps, also where eps**2 underflows to 0.
 
     Ties go to the tree, whose own rounding may put a pair at distance eps
-    on the other side: where eps**2 is within a relative _TIE_BAND * dim of a
+    on the other side: where eps**2 is within the index's relative slack of a
     forest edge's length, the count is neighbor_csr's at eps.  By the cycle
     property, any edge the tree rounds across eps**2 moves the count only
     through a forest edge between eps**2 and its length, so inside the band.
@@ -115,12 +111,12 @@ def cluster_curve(index: SpatialIndex, grid) -> np.ndarray:
     if grid.size == 0 or not (grid > 0).all():
         raise InvalidConfig("grid must hold at least one epsilon, all > 0")
     forest = _spanning_forest(index, grid.max())
-    squared = grid * grid
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        squared = grid * grid
+        ties = (np.searchsorted(forest, squared * (1.0 + index.slack), side="right")
+                > np.searchsorted(forest, squared * (1.0 - index.slack), side="left"))
     merged = np.searchsorted(forest, np.maximum(squared, _STAND_IN), side="right")
     counts = index.n_points - merged
-    band = _TIE_BAND * index.points.shape[1]
-    ties = (np.searchsorted(forest, squared * (1.0 + band), side="right")
-            > np.searchsorted(forest, squared * (1.0 - band), side="left"))
     for k in np.flatnonzero(ties):
         counts[k] = cluster_count_csr(*neighbor_csr(index, grid[k]))[0]
     return counts
@@ -140,6 +136,7 @@ def epsilon_max(points, beta: float, grid=None) -> float:
     that edge and the longest one below its tie band, clear of the tree's
     rounding; with no k merges, the bounding-box diagonal, or 1.0 if that
     is 0.  A ``grid`` snaps it to the grid point before the first failure.
+    A squared diagonal past the float range raises NonFiniteResult first.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidConfig(f"beta must lie in (0, 1), got {beta}")
@@ -148,6 +145,8 @@ def epsilon_max(points, beta: float, grid=None) -> float:
         if not grid.size or (grid[1:] <= grid[:-1]).any():
             raise InvalidConfig("grid must be non-empty and strictly ascending")
     index = build_index(_as_points(points))
+    if index.diagonal == np.inf:
+        raise NonFiniteResult("the points' squared bounding-box diagonal overflows")
     n = index.n_points
     m = int(1.0 / beta) + 1
     dist = knn_query(index, index.points, k=min(m, n))[0]
@@ -160,9 +159,9 @@ def epsilon_max(points, beta: float, grid=None) -> float:
         n_ok = int(np.count_nonzero(cluster_curve(index, grid) / n > beta))
         eps = grid[n_ok - 1] if n_ok else 0.0
     elif (k := n - int(np.count_nonzero(np.arange(1, n + 1) / n <= beta))) >= n:
-        eps = float(np.linalg.norm(index.extent)) or 1.0
+        eps = index.diagonal or 1.0
     else:
-        band = _TIE_BAND * index.points.shape[1]
+        band = index.slack
         forest = _spanning_forest(index, reach * (1.0 + band)) if reach > 0 else np.zeros(k)
         edge = forest[k - 1]  # a duplicate pair's stand-in fails at every ε
         lo = forest[forest < edge * (1.0 - band)].max(initial=0.0)
@@ -179,15 +178,16 @@ def default_epsilon_grid(index: SpatialIndex) -> np.ndarray:
     (every point its own cluster) up to the bounding-box diagonal the
     KD-tree stores (one giant cluster), at roughly factor-1.8 resolution.
     Takes the index that ``cluster_curve`` then reads, so a curve over this
-    grid builds one tree.
+    grid builds one tree.  A squared diagonal past the float range raises
+    NonFiniteResult.
     """
     if index.n_points < 2:
         return np.array([1.0])
+    hi = index.diagonal or 1.0
+    if hi == np.inf:
+        raise NonFiniteResult("the points' squared bounding-box diagonal overflows")
     nn = knn_query(index, index.points, k=2)[0][:, 1]
     nn = nn[nn > 0]
-    hi = float(np.linalg.norm(index.extent))
-    if hi <= 0.0:
-        hi = 1.0
     if nn.size:
         # keep a floor so one near-duplicate pair cannot stretch the grid
         lo = max(0.5 * float(nn.min()), 1e-6 * float(np.median(nn)))
@@ -281,31 +281,17 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
             result = run(base.copy(), cost, config)
             final = result.final_ensemble
             ocd_pairs = np.hstack([final.x_samples, final.y_samples])
-            rows.append(
-                SweepRow(
-                    epsilon=eps,
-                    final_cost=result.final_cost,
-                    emd_cost=coupling.total_cost,
-                    joint_distance=joint_distance(ocd_pairs, emd_pairs),
-                    n_clusters_x=count_clusters(final.x_samples, eps).n_clusters,
-                    n_clusters_y=count_clusters(final.y_samples, eps).n_clusters,
-                    steps=final.step_index,
-                    wall_time_ms=(time.perf_counter() - start) * 1e3,
-                )
+            outcome = dict(
+                final_cost=result.final_cost,
+                joint_distance=joint_distance(ocd_pairs, emd_pairs),
+                n_clusters_x=count_clusters(final.x_samples, eps).n_clusters,
+                n_clusters_y=count_clusters(final.y_samples, eps).n_clusters,
+                steps=final.step_index,
             )
         except OcdError as exc:
-            rows.append(
-                SweepRow(
-                    epsilon=eps,
-                    final_cost=float("nan"),
-                    emd_cost=coupling.total_cost,
-                    joint_distance=float("nan"),
-                    n_clusters_x=0,
-                    n_clusters_y=0,
-                    steps=0,
-                    wall_time_ms=(time.perf_counter() - start) * 1e3,
-                    failed=True,
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            outcome = dict(final_cost=float("nan"), joint_distance=float("nan"),
+                           n_clusters_x=0, n_clusters_y=0, steps=0,
+                           failed=True, message=f"{type(exc).__name__}: {exc}")
+        rows.append(SweepRow(epsilon=eps, emd_cost=coupling.total_cost,
+                             wall_time_ms=(time.perf_counter() - start) * 1e3, **outcome))
     return rows

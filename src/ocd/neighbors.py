@@ -7,6 +7,10 @@ at O(N log N) and queries output-sensitive.  The ε-ball graph has one
 format, its strict upper triangle U (each unordered pair once), and one
 query, neighbor_csr.  cluster_count_csr reads its components; the cluster
 curve in ocd.epsilon reads its minimum spanning forest.
+
+The index owns the cloud's scale: the bounding-box diagonal the tree
+stores and the relative slack on a squared distance, which neighbor_csr
+and every ε rule in ocd.epsilon read.
 """
 
 from __future__ import annotations
@@ -37,9 +41,16 @@ class SpatialIndex:
         return self.points.shape[0]
 
     @property
-    def extent(self) -> np.ndarray:
-        """Side lengths of the points' bounding box, as the tree stores it."""
-        return self._tree.maxes - self._tree.mins
+    def diagonal(self) -> float:
+        """Bounding-box diagonal, as the tree stores the box; inf once its square overflows."""
+        with np.errstate(over="ignore"):
+            extent = self._tree.maxes - self._tree.mins
+            return float(np.sqrt(np.dot(extent, extent)))
+
+    @property
+    def slack(self) -> float:
+        """Relative band, 1e-12 per dimension, past the rounding of a squared distance."""
+        return 1e-12 * self.points.shape[1]
 
 
 def build_index(points) -> SpatialIndex:
@@ -68,14 +79,14 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     CSR-to-CSC transpose of L, walks L's rows in order and appends each
     pair to its smaller index's row of U, so every row comes out ascending.
 
-    When epsilon exceeds the bounding-box diagonal of the points by a
-    relative margin of 1e-12 per dimension, the complete graph is returned
-    without a pair query.  The condition is sufficient, not necessary: no
-    pair is farther apart than the diagonal, and the margin is far above
-    the rounding of a squared sum of dim terms (about 2 * dim * 2**-53
-    relative), so the tree would keep every pair too; inside the margin
-    the tree decides.  Either way both arrays have scipy's index dtype:
-    int32 while the graph has fewer than 2**31 entries, int64 beyond.
+    When epsilon exceeds the index's diagonal by its relative slack, the
+    complete graph is returned without a pair query.  The condition is
+    sufficient, not necessary: no pair is farther apart than the diagonal,
+    and the slack is far above the rounding of a squared sum of dim terms
+    (about 2 * dim * 2**-53 relative), so the tree would keep every pair
+    too; inside the slack the tree decides.  Either way both arrays have
+    scipy's index dtype: int32 while the graph has fewer than 2**31
+    entries, int64 beyond.
 
     Raises NonFiniteResult when the squared distances among finite points
     overflow the float range, as on a diverging run; at epsilon = inf the
@@ -84,12 +95,8 @@ def neighbor_csr(index: SpatialIndex, epsilon: float) -> tuple[np.ndarray, np.nd
     if not epsilon > 0:
         raise InvalidConfig(f"epsilon must be > 0, got {epsilon}")
     n = index.n_points
-    with np.errstate(over="ignore"):
-        # the tree holds the bounding box; a squared extent that overflows
-        # makes the diagonal inf, which only an infinite epsilon clears
-        extent = index.extent
-        diagonal = np.sqrt(np.dot(extent, extent))
-    if epsilon >= diagonal * (1.0 + 1e-12 * extent.shape[0]):
+    # an overflowing diagonal is inf, which only an infinite epsilon clears
+    if epsilon >= index.diagonal * (1.0 + index.slack):
         dtype = np.int32 if n * (n - 1) // 2 <= np.iinfo(np.int32).max else np.int64
         indptr = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))]).astype(dtype)
         # entry k of row i is column i + 1 + (k - indptr[i]); k = r * width + c is

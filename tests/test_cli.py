@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_solve_crit_resolves_a_pinned_epsilon(brenier_clouds, tmp_path):
     assert manifest["extra"]["resolved_epsilon"] == 1.4112568145631053
 
 
+def test_solve_crit_on_an_overflowing_cloud_is_one_typed_error(tmp_path, capsys):
+    # the squared diagonal of x overflows: the grid cannot be drawn
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_samples_csv([[-1e200, 0.0], [1e200, 1.0], [0.0, 2.0], [1.0, 3.0], [2.0, 4.0]], xp)
+    write_samples_csv(np.arange(10.0).reshape(5, 2), yp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--x", str(xp), "--y", str(yp), "--eps", "crit",
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "NonFiniteResult" in err[0]
+
+
 def test_solve_crit_builds_one_tree_and_one_query(brenier_clouds, tmp_path, monkeypatch):
     # the default grid and the cluster curve read the same index of x
     import ocd.cli
@@ -151,11 +166,13 @@ def test_dist_matrix_and_color_transfer_reject_bad_epsilon_spec(clouds, tmp_path
     src, tgt = tmp_path / "s.ppm", tmp_path / "t.ppm"
     write_ppm(ImageSamples(rng.random((24, 3)), 6, 4), src)
     write_ppm(ImageSamples(rng.random((24, 3)), 6, 4), tgt)
-    for argv in (["dist-matrix", "--inputs", str(xp), str(yp)],
-                 ["color-transfer", "--source", str(src), "--target", str(tgt)]):
+    color = ["color-transfer", "--source", str(src), "--target", str(tgt), "--n-train", "12"]
+    # at alpha 0 nothing is solved, but the spec is still read
+    for argv in (["dist-matrix", "--inputs", str(xp), str(yp)], color, color + ["--alpha", "0"]):
         code = main(argv + ["--eps", "abc", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "InvalidConfig" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "InvalidConfig" in err and "--eps" in err
 
 
 def test_dist_matrix_needs_two_inputs(clouds, tmp_path, capsys):
@@ -359,6 +376,32 @@ def test_color_transfer_subcommand(tmp_path):
     assert code == 0
     # alpha 0 keeps the source image: bytes survive the quantization round trip
     assert (out / "transferred.ppm").read_bytes() == src.read_bytes()
+
+
+@pytest.fixture
+def grey_pair(tmp_path):
+    # 12 grey levels, each on two of the 24 pixels: no cutoff keeps 90 %
+    # of either image's pixels apart
+    grey = np.repeat(np.arange(12) / 11.0, 2)
+    src, tgt = tmp_path / "s.ppm", tmp_path / "t.ppm"
+    write_ppm(ImageSamples(np.column_stack([grey] * 3), 6, 4), src)
+    write_ppm(ImageSamples(np.column_stack([grey[::-1]] * 3), 6, 4), tgt)
+    return src, tgt
+
+
+@pytest.mark.parametrize("eps", ["auto", "rule", "crit"])
+def test_color_transfer_at_alpha_0_resolves_no_rule(grey_pair, tmp_path, capsys, eps):
+    src, tgt = grey_pair
+    out = tmp_path / "ct"
+    argv = ["color-transfer", "--source", str(src), "--target", str(tgt),
+            "--alpha", "0", "--n-train", "24", "--eps", eps, "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "transferred.ppm").read_bytes() == src.read_bytes()
+    # nothing was solved, so the manifest records no solver config
+    assert json.loads((out / "manifest.json").read_text())["config"] is None
+    # the solver flags are checked all the same
+    assert main(argv + ["--dt", "-1"]) == 1
+    assert "InvalidConfig" in capsys.readouterr().err
 
 
 def test_color_transfer_resolves_epsilon_on_the_training_pixels(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from ocd import (
     CurveTooShort,
     InvalidConfig,
     NoFeasibleEpsilon,
+    NonFiniteResult,
     SolverConfig,
     auto_epsilon,
     build_index,
@@ -214,6 +216,34 @@ def test_default_grid_tolerates_duplicates():
     pts = np.array([[0.0], [0.0], [1.0], [2.0]])
     grid = default_epsilon_grid(build_index(pts))
     assert np.all(grid > 0) and np.all(np.isfinite(grid))
+
+
+# ε rules on clouds whose squared bounding-box diagonal overflows: a rule
+# raises where neighbor_csr raises at a finite ε, and the curve counts
+# wherever neighbor_csr answers, ε = inf included; nothing warns
+OVERFLOW_RULES = {
+    "default_epsilon_grid": (lambda p: default_epsilon_grid(build_index(p)), NonFiniteResult),
+    "epsilon_max": (lambda p: epsilon_max(p, 0.9), NonFiniteResult),
+    "auto_epsilon": (lambda p: auto_epsilon(p, p), NonFiniteResult),
+    "epsilon_max_grid": (lambda p: epsilon_max(p, 0.9, grid=[1.0, 2.0]), NonFiniteResult),
+    "cluster_curve": (lambda p: cluster_curve(build_index(p), [1.0, np.inf]), [3, 1]),
+}
+
+
+@pytest.mark.parametrize("pts", [
+    np.array([[-1e200], [1e200], [0.0]]),
+    np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 1e200]]),
+], ids=["1d", "2d"])
+@pytest.mark.parametrize("rule", OVERFLOW_RULES)
+def test_epsilon_rules_on_an_overflowing_diagonal(rule, pts):
+    call, expected = OVERFLOW_RULES[rule]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is NonFiniteResult:
+            with pytest.raises(NonFiniteResult):
+                call(pts)
+        else:
+            np.testing.assert_array_equal(call(pts), expected)
 
 
 def test_auto_epsilon_keeps_both_marginals_resolved():
