@@ -47,7 +47,7 @@ from .dynamics import (
     ocd_velocity,
     run,
 )
-from .emd import DiscreteCoupling, emd, joint_distance, wasserstein2_empirical
+from .emd import DiscreteCoupling, emd, joint_distance
 from .epsilon import (
     ClusterReport,
     EpsilonCritResult,

@@ -122,6 +122,11 @@ def _training_pixels(source: ImageSamples, target: ImageSamples, n_train: int, s
     return x0, y0
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidConfig(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def color_transfer(
     source: ImageSamples,
     target: ImageSamples,
@@ -134,8 +139,7 @@ def color_transfer(
     Transport is solved on an n_train subsample of RGB triples; all source
     pixels are then mapped and blended as (1-alpha)*x + alpha*map(x).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidConfig(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     x0, y0 = _training_pixels(source, target, n_train, config.seed)
     if alpha == 0.0:
         return ImageSamples(source.pixels.copy(), source.width, source.height)

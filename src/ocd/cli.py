@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as ocd_io
-from .applications import ImageSamples, _training_pixels, color_transfer, distance_matrix
+from .applications import _check_alpha, _training_pixels, color_transfer, distance_matrix
 from .core import (
     ESTIMATOR_CONSTANT,
     ESTIMATOR_LINEAR,
@@ -57,10 +57,15 @@ from .samplers import (
 )
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+_EPSILON_RULES = ("auto", "rule", "crit")
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser, eps=True, seed=True) -> None:
+    # a command takes --eps and --seed only where they change its outputs
     default = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
-    parser.add_argument("--eps", default="auto",
-                        help="cutoff: a number, or auto | rule | crit")
+    if eps:
+        parser.add_argument("--eps", default="auto",
+                            help="cutoff: a number, or " + " | ".join(_EPSILON_RULES))
     parser.add_argument("--eps-hat", dest="epsilon_hat", metavar="EPS_HAT", type=float,
                         default=default["epsilon_hat"],
                         help="ridge regularizer for the linear estimator")
@@ -74,7 +79,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         default=default["estimator"])
     parser.add_argument("--stepper", choices=[STEPPER_EULER, STEPPER_RK4],
                         default=default["stepper"])
-    parser.add_argument("--seed", type=int, default=default["seed"])
+    if seed:
+        parser.add_argument("--seed", type=int, default=default["seed"])
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,26 +90,33 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                              "always deterministic")
 
 
-def _resolve_epsilon(spec: str, x: np.ndarray, y: np.ndarray) -> float:
+def _parse_epsilon(spec: str) -> float:
+    """--eps as a number; a named rule stands in as 1.0 until _resolve_epsilon."""
+    try:
+        return 1.0 if spec in _EPSILON_RULES else float(spec)
+    except ValueError:
+        raise InvalidConfig(f"--eps must be a number or one of "
+                            f"{'|'.join(_EPSILON_RULES)}, got {spec!r}") from None
+
+
+def _resolve_epsilon(config: SolverConfig, spec: str, x, y) -> SolverConfig:
+    """config at the ε that the named rule spec reads off x and y; a number is kept."""
     if spec == "auto":
-        return auto_epsilon(x, y)
-    if spec == "rule":
-        return epsilon_rule_of_thumb(x.shape[1], x.shape[0])
-    if spec == "crit":
+        epsilon = auto_epsilon(x, y)
+    elif spec == "rule":
+        epsilon = epsilon_rule_of_thumb(x.shape[1], x.shape[0])
+    elif spec == "crit":
         index = build_index(x)
         grid = default_epsilon_grid(index)
-        return epsilon_crit(zip(grid, cluster_curve(index, grid))).epsilon
-    try:
-        return float(spec)
-    except ValueError:
-        raise InvalidConfig(
-            f"--eps must be a number or one of auto|rule|crit, got {spec!r}"
-        ) from None
+        epsilon = epsilon_crit(zip(grid, cluster_curve(index, grid))).epsilon
+    else:
+        return config
+    return dataclasses.replace(config, epsilon=epsilon)
 
 
-def _make_config(args, epsilon: float) -> SolverConfig:
+def _make_config(args, epsilon: float, **fields) -> SolverConfig:
     # every solver flag but --eps stores under its SolverConfig field's name
-    return SolverConfig(epsilon=epsilon, **{
+    return SolverConfig(epsilon=epsilon, **fields, **{
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(SolverConfig) if hasattr(args, f.name)})
 
@@ -127,27 +140,27 @@ def _out_dir(args) -> Path:
 
 
 def cmd_solve(args) -> int:
+    config = _make_config(args, _parse_epsilon(args.eps))
     x = ocd_io.read_samples_csv(args.x)
     y = ocd_io.read_samples_csv(args.y)
-    epsilon = _resolve_epsilon(args.eps, x, y)
-    config = _make_config(args, epsilon)
+    config = _resolve_epsilon(config, args.eps, x, y)
     result = run(new_ensemble(x, y), l2_cost_model(), config)
     out = _out_dir(args)
     final = result.final_ensemble
     ocd_io.write_pairs_csv(final.x_samples, final.y_samples, out / "pairs.csv")
     ocd_io.write_diagnostics_jsonl(result.diagnostics, out / "diagnostics.jsonl")
     _write_manifest(args, "solve", config, {"x": args.x, "y": args.y}, out,
-                    extra={"eps_flag": args.eps, "resolved_epsilon": epsilon})
+                    extra={"eps_flag": args.eps, "resolved_epsilon": config.epsilon})
     print(f"terminated: {result.termination} at step {final.step_index}, "
           f"cost {result.final_cost!r}")
     return 0
 
 
 def cmd_sweep_eps(args) -> int:
-    x = ocd_io.read_samples_csv(args.x)
-    y = ocd_io.read_samples_csv(args.y)
     grid = _parse_rows("--grid", args.grid, one_row=True).tolist()
     config = _make_config(args, grid[0])
+    x = ocd_io.read_samples_csv(args.x)
+    y = ocd_io.read_samples_csv(args.y)
     rows = epsilon_sweep(x, y, l2_cost_model(), config, grid)
     out = _out_dir(args)
     ocd_io.write_sweep_csv(rows, out / "sweep.csv")
@@ -190,12 +203,11 @@ def cmd_emd(args) -> int:
 
 
 def cmd_dist_matrix(args) -> int:
+    config = _make_config(args, _parse_epsilon(args.eps), record_diagnostics=False)
+    if len(args.inputs) < 2:
+        raise InvalidConfig(f"need at least 2 datasets, got {len(args.inputs)}")
     datasets = [ocd_io.read_samples_csv(p) for p in args.inputs]
-    if len(datasets) < 2:
-        raise InvalidConfig(f"need at least 2 datasets, got {len(datasets)}")
-    epsilon = _resolve_epsilon(args.eps, datasets[0], datasets[1])
-    config = dataclasses.replace(_make_config(args, epsilon),
-                                 record_diagnostics=False)
+    config = _resolve_epsilon(config, args.eps, datasets[0], datasets[1])
     matrix = distance_matrix(datasets, config, n_threads=max(1, args.threads))
     out = _out_dir(args)
     ocd_io.write_samples_csv(matrix, out / "distances.csv")
@@ -206,21 +218,17 @@ def cmd_dist_matrix(args) -> int:
 
 
 def cmd_color_transfer(args) -> int:
+    config = _make_config(args, _parse_epsilon(args.eps), record_diagnostics=False)
+    _check_alpha(args.alpha)
     source = ocd_io.read_ppm(args.source)
     target = ocd_io.read_ppm(args.target)
-    # ε is resolved on the subsample the transport is solved on
-    x0, y0 = _training_pixels(source, target, args.n_train, args.seed)
-    if args.alpha == 0.0 and args.eps in ("auto", "rule", "crit"):
-        # nothing is solved at alpha 0, so no rule reads the pixels and no
-        # config is recorded; the solver flags are checked all the same
-        _make_config(args, 1.0)
-        config = None
-        result = ImageSamples(source.pixels.copy(), source.width, source.height)
-    else:
-        epsilon = _resolve_epsilon(args.eps, x0, y0)
-        config = dataclasses.replace(_make_config(args, epsilon),
-                                     record_diagnostics=False)
-        result = color_transfer(source, target, config, args.alpha, args.n_train)
+    if args.alpha > 0.0:
+        # ε is resolved on the subsample the transport is solved on
+        x0, y0 = _training_pixels(source, target, args.n_train, args.seed)
+        config = _resolve_epsilon(config, args.eps, x0, y0)
+    result = color_transfer(source, target, config, args.alpha, args.n_train)
+    if args.alpha == 0.0 and args.eps in _EPSILON_RULES:
+        config = None   # nothing was solved and no rule ran: no config to record
     out = _out_dir(args)
     ocd_io.write_ppm(result, out / "transferred.ppm")
     _write_manifest(args, "color-transfer", config,
@@ -246,8 +254,8 @@ def _parse_rows(flag: str, spec: str, one_row: bool = False) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
-    if args.n < 0 or (args.dim is not None and args.dim < 1):
-        raise InvalidConfig(f"--n must be >= 0 and --dim >= 1, got {args.n} and {args.dim}")
+    if args.n < 1 or (args.dim is not None and args.dim < 1):
+        raise InvalidConfig(f"--n and --dim must be >= 1, got {args.n} and {args.dim}")
     dim = 2 if args.dim is None else args.dim
     if args.dist == "normal":
         cov = _parse_rows("--cov", args.cov) if args.cov else None
@@ -288,15 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="pair two sample sets by transport")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_solver_flags(p)
+    _add_solver_flags(p, seed=False)
     _add_common_flags(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep-eps", help="one solver run per grid cutoff")
+    # no abbreviations: sweep-eps takes no --eps, which would read as --eps-hat
+    p = sub.add_parser("sweep-eps", help="one solver run per grid cutoff", allow_abbrev=False)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--grid", required=True, help="comma-separated cutoffs")
-    _add_solver_flags(p)
+    _add_solver_flags(p, eps=False, seed=False)
     _add_common_flags(p)
     p.set_defaults(func=cmd_sweep_eps)
 

@@ -79,25 +79,10 @@ def emd(x_samples, y_samples, cost: CostModel) -> DiscreteCoupling:
     return DiscreteCoupling(assignment=assignment, total_cost=total)
 
 
-def wasserstein2_empirical(x_samples, y_samples) -> float:
-    """Squared 2-Wasserstein distance between two empirical measures."""
-    return emd(x_samples, y_samples, l2_cost_model()).total_cost
-
-
 def joint_distance(pairs_a, pairs_b) -> float:
     """Squared distance between two empirical couplings.
 
     Each (x, y) pair is one point in R^{2n}; the distance is the exact
     assignment optimum between the two pair clouds.
     """
-    a = np.ascontiguousarray(pairs_a, dtype=np.float64)
-    b = np.ascontiguousarray(pairs_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"pair matrices must share a 2n-column layout, got {a.shape} and {b.shape}"
-        )
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"equal pair counts required, got {a.shape[0]} and {b.shape[0]}"
-        )
-    return wasserstein2_empirical(a, b)
+    return emd(pairs_a, pairs_b, l2_cost_model()).total_cost

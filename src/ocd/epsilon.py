@@ -269,13 +269,14 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
     is recorded (NaN metrics) and the sweep continues.  wall_time_ms is
     telemetry, not part of any determinism contract.
     """
+    # every row's config is checked before any work
+    configs = [replace(config_template, epsilon=float(eps), record_diagnostics=False)
+               for eps in grid]
     base = new_ensemble(x0, y0)
     coupling = emd(base.x_samples, base.y_samples, cost)
     emd_pairs = np.hstack([base.x_samples, base.y_samples[coupling.assignment]])
     rows = []
-    for eps in grid:
-        eps = float(eps)
-        config = replace(config_template, epsilon=eps, record_diagnostics=False)
+    for config in configs:
         start = time.perf_counter()
         try:
             result = run(base.copy(), cost, config)
@@ -284,14 +285,14 @@ def epsilon_sweep(x0, y0, cost: CostModel, config_template: SolverConfig, grid) 
             outcome = dict(
                 final_cost=result.final_cost,
                 joint_distance=joint_distance(ocd_pairs, emd_pairs),
-                n_clusters_x=count_clusters(final.x_samples, eps).n_clusters,
-                n_clusters_y=count_clusters(final.y_samples, eps).n_clusters,
+                n_clusters_x=count_clusters(final.x_samples, config.epsilon).n_clusters,
+                n_clusters_y=count_clusters(final.y_samples, config.epsilon).n_clusters,
                 steps=final.step_index,
             )
         except OcdError as exc:
             outcome = dict(final_cost=float("nan"), joint_distance=float("nan"),
                            n_clusters_x=0, n_clusters_y=0, steps=0,
                            failed=True, message=f"{type(exc).__name__}: {exc}")
-        rows.append(SweepRow(epsilon=eps, emd_cost=coupling.total_cost,
+        rows.append(SweepRow(epsilon=config.epsilon, emd_cost=coupling.total_cost,
                              wall_time_ms=(time.perf_counter() - start) * 1e3, **outcome))
     return rows

@@ -13,7 +13,7 @@ from ocd import (
     write_ppm,
     write_samples_csv,
 )
-from ocd.cli import _make_config, build_parser, main
+from ocd.cli import _EPSILON_RULES, _make_config, build_parser, main
 from ocd.io import SWEEP_COLUMNS
 
 
@@ -129,7 +129,7 @@ def test_solve_numeric_epsilon_writes_the_same_pairs_twice(brenier_clouds, tmp_p
     assert (a / "pairs.csv").read_bytes() == (b / "pairs.csv").read_bytes()
 
 
-@pytest.mark.parametrize("eps_flag", ["auto", "rule", "crit"])
+@pytest.mark.parametrize("eps_flag", _EPSILON_RULES)
 def test_solve_named_epsilon_rules(clouds, tmp_path, eps_flag):
     xp, yp = clouds
     out = tmp_path / eps_flag
@@ -192,6 +192,37 @@ def test_dist_matrix_needs_two_inputs(clouds, tmp_path, capsys):
 def test_solver_flag_defaults_are_the_config_defaults(argv):
     args = build_parser().parse_args(argv)
     assert _make_config(args, 1.0) == SolverConfig(epsilon=1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--x", "nope.csv", "--y", "nope.csv", "--eps", "crit", "--dt", "-1"],
+    ["solve", "--x", "nope.csv", "--y", "nope.csv", "--eps", "abc"],
+    ["dist-matrix", "--inputs", "nope.csv", "nope.csv", "--dt", "-1"],
+])
+def test_bad_solver_flags_exit_1_before_any_input_is_read(tmp_path, monkeypatch, capsys,
+                                                          argv):
+    import ocd.cli
+
+    read = ocd.cli.ocd_io.read_samples_csv
+    paths = []
+    monkeypatch.setattr(ocd.cli.ocd_io, "read_samples_csv",
+                        lambda path: paths.append(path) or read(path))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert "InvalidConfig" in capsys.readouterr().err
+    assert paths == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--x", "x.csv", "--y", "y.csv", "--seed", "1"],
+    ["sweep-eps", "--x", "x.csv", "--y", "y.csv", "--grid", "0.1", "--eps", "0.3"],
+    ["sweep-eps", "--x", "x.csv", "--y", "y.csv", "--grid", "0.1", "--seed", "1"],
+])
+def test_flags_that_change_no_output_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_missing_input_exits_2(tmp_path, capsys):
@@ -287,6 +318,7 @@ def test_sample_normal_flags(tmp_path):
     ["--cov", "1,2;2,1"],           # not positive definite
     ["--n", "-1"],
     ["--dim", "0"],
+    ["--n", "0"],                   # a header-only file no command reads
 ])
 def test_sample_malformed_flags_exit_1(tmp_path, capsys, flags):
     path = tmp_path / "n.csv"
@@ -389,7 +421,7 @@ def grey_pair(tmp_path):
     return src, tgt
 
 
-@pytest.mark.parametrize("eps", ["auto", "rule", "crit"])
+@pytest.mark.parametrize("eps", _EPSILON_RULES)
 def test_color_transfer_at_alpha_0_resolves_no_rule(grey_pair, tmp_path, capsys, eps):
     src, tgt = grey_pair
     out = tmp_path / "ct"
@@ -402,6 +434,24 @@ def test_color_transfer_at_alpha_0_resolves_no_rule(grey_pair, tmp_path, capsys,
     # the solver flags are checked all the same
     assert main(argv + ["--dt", "-1"]) == 1
     assert "InvalidConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["2", "nan", "-0.5"])
+def test_color_transfer_checks_alpha_before_any_image_is_read(grey_pair, tmp_path,
+                                                              monkeypatch, capsys, alpha):
+    # auto finds no cutoff on these pixels: alpha is refused before it runs
+    import ocd.cli
+
+    src, tgt = grey_pair
+    paths = []
+    read = ocd.cli.ocd_io.read_ppm
+    monkeypatch.setattr(ocd.cli.ocd_io, "read_ppm", lambda path: paths.append(path) or read(path))
+    out = tmp_path / "ct"
+    assert main(["color-transfer", "--source", str(src), "--target", str(tgt),
+                 "--alpha", alpha, "--n-train", "24", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "InvalidConfig" in err and "alpha" in err
+    assert paths == [] and not out.exists()
 
 
 def test_color_transfer_resolves_epsilon_on_the_training_pixels(tmp_path):

@@ -436,6 +436,17 @@ def test_sweep_records_failed_row_and_continues():
     assert np.isfinite(rows[1].emd_cost)
 
 
+def test_sweep_checks_the_whole_grid_before_any_work():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 2))
+    y = rng.standard_normal((30, 2))
+    cfg = SolverConfig(epsilon=1.0, max_steps=5)
+    with mock.patch("ocd.epsilon.emd") as emd_spy, mock.patch("ocd.epsilon.run") as run_spy:
+        with pytest.raises(InvalidConfig):
+            epsilon_sweep(x, y, l2_cost_model(), cfg, [0.5, 0.3, -1.0])
+    assert emd_spy.call_count == run_spy.call_count == 0
+
+
 def test_sweep_is_deterministic_apart_from_timing():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((25, 2))
