@@ -83,8 +83,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser, eps=True, seed=True) -> N
         parser.add_argument("--seed", type=int, default=default["seed"])
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=".", help="output directory")
+def _add_common_flags(parser: argparse.ArgumentParser, out=True) -> None:
+    if out:
+        parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--deterministic", action="store_true",
                         help="accepted for interface stability; runs are "
                              "always deterministic")
@@ -176,11 +177,11 @@ def cmd_gaussian_oracle(args) -> int:
     pair = GaussianPair(np.array([[sigma_mu**2]]), np.array([[sigma_nu**2]]))
     times, traj = integrate_riccati(pair, np.zeros((1, 1)), args.dt, args.t_final)
     j_opt, d2 = gaussian_ot_optimum(pair)
+    # every row is built, and so every flag checked, before the output directory exists
+    rows = [[t, j, j / (sigma_mu * sigma_nu), kappa_closed_form(sigma_mu, sigma_nu, t)]
+            for t, j in zip(times.tolist(), traj[:, 0, 0].tolist())]
     out = _out_dir(args)
-    ocd_io.write_csv(out / "riccati.csv", ["time", "j", "kappa", "kappa_closed_form"], (
-        [t, j, j / (sigma_mu * sigma_nu), kappa_closed_form(sigma_mu, sigma_nu, t)]
-        for t, j in zip(times.tolist(), traj[:, 0, 0].tolist())
-    ))
+    ocd_io.write_csv(out / "riccati.csv", ["time", "j", "kappa", "kappa_closed_form"], rows)
     _write_manifest(args, "gaussian-oracle", None,
                     {"sigma_mu": sigma_mu, "sigma_nu": sigma_nu}, out,
                     extra={"d2": d2, "j_opt": j_opt.tolist(),
@@ -256,10 +257,12 @@ def _parse_rows(flag: str, spec: str, one_row: bool = False) -> np.ndarray:
 def cmd_sample(args) -> int:
     if args.n < 1 or (args.dim is not None and args.dim < 1):
         raise InvalidConfig(f"--n and --dim must be >= 1, got {args.n} and {args.dim}")
+    if args.dist != "normal" and (args.mean is not None or args.cov is not None):
+        raise InvalidConfig(f"--mean and --cov apply only to --dist normal, not {args.dist}")
     dim = 2 if args.dim is None else args.dim
     if args.dist == "normal":
-        cov = _parse_rows("--cov", args.cov) if args.cov else None
-        if args.mean:
+        cov = None if args.cov is None else _parse_rows("--cov", args.cov)
+        if args.mean is not None:
             mean = _parse_rows("--mean", args.mean, one_row=True)
         else:
             mean = np.zeros(dim if cov is None else cov.shape[0])
@@ -342,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_color_transfer)
 
-    p = sub.add_parser("sample", help="generate built-in test marginals")
+    # no abbreviations: sample takes no --out, which would read as --out-file
+    p = sub.add_parser("sample", help="generate built-in test marginals", allow_abbrev=False)
     p.add_argument("--dist", required=True,
                    choices=list(SAMPLERS))
     p.add_argument("--n", type=int, required=True)
@@ -351,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean", default=None, help="comma-separated values")
     p.add_argument("--cov", default=None, help="rows joined by ';'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-file", default="samples.csv")
-    _add_common_flags(p)
+    p.add_argument("--out-file", default="samples.csv", help="manifest.json goes beside it")
+    _add_common_flags(p, out=False)
     p.set_defaults(func=cmd_sample)
 
     return parser

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .core import CostModel, KIND_L2, l2_cost_model
@@ -73,6 +72,8 @@ def emd(x_samples, y_samples, cost: CostModel) -> DiscreteCoupling:
             matrix = np.empty((n, n))
             for i in range(n):
                 matrix[i] = cost.cost(np.broadcast_to(x[i], y.shape), y)
+        # imported here: only this branch needs scipy.optimize, slow to import
+        from scipy.optimize import linear_sum_assignment
         _, assignment = linear_sum_assignment(matrix)
         assignment = assignment.astype(np.int64)
     total = float(np.mean(cost.cost(x, y[assignment])))

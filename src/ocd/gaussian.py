@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteState, SingularCovariance
+from .errors import InvalidConfig, NonFiniteInput, NonFiniteState, SingularCovariance
 
 
 def _sqrtm_spd(a: np.ndarray) -> np.ndarray:
@@ -35,6 +35,8 @@ class GaussianPair:
             mat = np.atleast_2d(np.asarray(getattr(self, name), dtype=np.float64))
             if mat.shape[0] != mat.shape[1]:
                 raise SingularCovariance(f"{name} must be square, got {mat.shape}")
+            if not np.isfinite(mat).all():
+                raise NonFiniteInput(f"{name} contains NaN or Inf")
             if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
                 raise SingularCovariance(f"{name} must be symmetric")
             if np.linalg.eigvalsh(mat)[0] <= 0:
@@ -64,10 +66,10 @@ def integrate_riccati(
     Returns (times, traj) where traj[k] is J at times[k]; the step count is
     round(t_final / dt).
     """
-    if dt <= 0:
-        raise InvalidConfig(f"dt must be > 0, got {dt}")
-    if t_final < 0:
-        raise InvalidConfig(f"t_final must be >= 0, got {t_final}")
+    if not 0 < dt < np.inf:
+        raise InvalidConfig(f"dt must be finite and > 0, got {dt}")
+    if not 0 <= t_final < np.inf:
+        raise InvalidConfig(f"t_final must be finite and >= 0, got {t_final}")
     j = np.atleast_2d(np.asarray(j0, dtype=np.float64)).copy()
     n_steps = int(round(t_final / dt))
     times = dt * np.arange(n_steps + 1)
@@ -91,8 +93,8 @@ def kappa_closed_form(sigma_mu: float, sigma_nu: float, t: float) -> float:
     This is the kappa(0) = 0 solution of d kappa/dt = c (1 - kappa^2); it
     rises monotonically to the stationary value 1.
     """
-    if sigma_mu <= 0 or sigma_nu <= 0:
-        raise InvalidConfig("standard deviations must be > 0")
+    if not (0 < sigma_mu < np.inf and 0 < sigma_nu < np.inf):
+        raise InvalidConfig("standard deviations must be finite and > 0")
     if t < 0:
         raise InvalidConfig(f"t must be >= 0, got {t}")
     c = (sigma_mu**2 + sigma_nu**2) / (sigma_mu * sigma_nu)

@@ -284,8 +284,6 @@ def _parse_pnm(path, magics):
             raise ParseError("non-integer pixel value") from None
         if data.min() < 0 or data.max() > 255:
             raise ParseError("pixel value outside [0, 255]")
-    if data.size < count:
-        raise ParseError(f"expected {count} pixel bytes, got {data.size}")
     return data.astype(np.float64) / 255.0, width, height, channels
 
 
@@ -294,16 +292,16 @@ def read_ppm(path) -> ImageSamples:
     return ImageSamples(pixels=data.reshape(-1, 3), width=width, height=height)
 
 
-def write_ppm(image: ImageSamples, path, ascii_format: bool = False) -> None:
-    quantized = np.clip(np.rint(image.pixels * 255.0), 0, 255).astype(np.uint8)
-    header = f"{'P3' if ascii_format else 'P6'}\n{image.width} {image.height}\n255\n"
+def _write_pnm(path, magic: str, width: int, height: int, values: np.ndarray) -> None:
+    """Binary PNM (P5 or P6, maxval 255) of values in [0, 1], in row-major order."""
+    quantized = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if ascii_format:
-            lines = [" ".join(str(v) for v in row) for row in quantized]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        else:
-            fh.write(quantized.tobytes())
+        fh.write(f"{magic}\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(quantized.tobytes())
+
+
+def write_ppm(image: ImageSamples, path) -> None:
+    _write_pnm(path, "P6", image.width, image.height, image.pixels)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -314,8 +312,4 @@ def read_pgm(path) -> np.ndarray:
 
 def write_pgm(image, path) -> None:
     img = np.asarray(image, dtype=np.float64)
-    quantized = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(quantized.tobytes())
+    _write_pnm(path, "P5", img.shape[1], img.shape[0], img)

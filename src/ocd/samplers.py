@@ -25,6 +25,8 @@ def sample_normal(n: int, mean, cov, seed: int = 0) -> np.ndarray:
         raise InvalidConfig(
             f"cov shape {cov.shape} incompatible with mean of size {mean.size}"
         )
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise InvalidConfig("mean and cov must be finite")
     rng = np.random.default_rng(seed)
     try:
         return rng.multivariate_normal(mean, cov, size=n, method="cholesky")

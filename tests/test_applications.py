@@ -142,6 +142,17 @@ def test_distance_matrix_needs_two_sets():
         distance_matrix([np.zeros((5, 1)), np.zeros((5, 2))], CFG)
 
 
+def test_distance_matrix_reports_a_failed_pair_as_nan(caplog):
+    a = np.array([[0.0], [1.0]])
+    config = SolverConfig(epsilon=np.inf, estimator="constant", stepper="euler", dt=1e300)
+    with caplog.at_level("WARNING", logger="ocd.applications"):
+        dm = distance_matrix([a, 1e150 * a], config)
+    assert np.isnan(dm[0, 1]) and np.isnan(dm[1, 0])
+    np.testing.assert_array_equal(np.diag(dm), 0.0)
+    records = [r for r in caplog.records if r.name == "ocd.applications"]
+    assert len(records) == 1 and "pair (0, 1) failed" in records[0].getMessage()
+
+
 def test_image_to_point_samples_pixel_centers():
     img = np.array([[1.0, 0.0], [0.0, 1.0]])
     pts = image_to_point_samples(img, n_samples=50, seed=3)

@@ -217,6 +217,8 @@ def test_bad_solver_flags_exit_1_before_any_input_is_read(tmp_path, monkeypatch,
     ["solve", "--x", "x.csv", "--y", "y.csv", "--seed", "1"],
     ["sweep-eps", "--x", "x.csv", "--y", "y.csv", "--grid", "0.1", "--eps", "0.3"],
     ["sweep-eps", "--x", "x.csv", "--y", "y.csv", "--grid", "0.1", "--seed", "1"],
+    # sample writes its manifest beside --out-file, and --out is no prefix of it
+    ["sample", "--dist", "banana", "--n", "3", "--out", "d"],
 ])
 def test_flags_that_change_no_output_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -263,6 +265,18 @@ def test_gaussian_oracle_outputs(tmp_path, capsys):
     assert last[2] == pytest.approx(last[3], abs=1e-6)  # kappa tracks closed form
 
 
+@pytest.mark.parametrize("flags", [
+    ["--sigma-mu", "-1"], ["--sigma-mu", "0"], ["--sigma-nu", "nan"],
+    ["--dt", "nan"], ["--dt", "inf"], ["--t-final", "nan"], ["--t-final", "inf"],
+])
+def test_gaussian_oracle_bad_flag_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert main(["gaussian-oracle", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_sweep_eps_csv(clouds, tmp_path):
     xp, yp = clouds
     out = tmp_path / "sweep"
@@ -290,8 +304,7 @@ def test_sample_subcommand_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         code = main(["sample", "--dist", "softmax-pushforward", "--n", "25",
-                     "--dim", "2", "--seed", "5", "--out-file", str(path),
-                     "--out", str(tmp_path)])
+                     "--dim", "2", "--seed", "5", "--out-file", str(path)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     samples = read_samples_csv(a)
@@ -302,8 +315,7 @@ def test_sample_subcommand_deterministic(tmp_path):
 def test_sample_normal_flags(tmp_path):
     path = tmp_path / "n.csv"
     code = main(["sample", "--dist", "normal", "--n", "200", "--mean", "3,0",
-                 "--cov", "1,0;0,1", "--out-file", str(path),
-                 "--out", str(tmp_path)])
+                 "--cov", "1,0;0,1", "--out-file", str(path)])
     assert code == 0
     samples = read_samples_csv(path)
     assert samples.shape == (200, 2)
@@ -319,11 +331,14 @@ def test_sample_normal_flags(tmp_path):
     ["--n", "-1"],
     ["--dim", "0"],
     ["--n", "0"],                   # a header-only file no command reads
+    ["--mean", "nan,0"],
+    ["--cov", "nan,0;0,1"],
+    ["--mean", "inf"],
 ])
 def test_sample_malformed_flags_exit_1(tmp_path, capsys, flags):
     path = tmp_path / "n.csv"
     code = main(["sample", "--dist", "normal", "--n", "5", *flags,
-                 "--out-file", str(path), "--out", str(tmp_path)])
+                 "--out-file", str(path)])
     assert code == 1
     assert "InvalidConfig" in capsys.readouterr().err
     assert not path.exists()
@@ -338,7 +353,7 @@ def test_sample_dim_disagreeing_with_columns_exits_1(tmp_path, capsys, dist, fla
                                                      written):
     path = tmp_path / "s.csv"
     code = main(["sample", "--dist", dist, "--n", "5", "--dim", str(dim), *flags,
-                 "--out-file", str(path), "--out", str(tmp_path)])
+                 "--out-file", str(path)])
     assert code == 1
     err = capsys.readouterr().err
     assert "InvalidConfig" in err
@@ -346,10 +361,25 @@ def test_sample_dim_disagreeing_with_columns_exits_1(tmp_path, capsys, dist, fla
     assert not path.exists()
 
 
+@pytest.mark.parametrize("flags", [["--mean", "5,5"], ["--cov", "9,0;0,9"]])
+def test_sample_moments_only_with_normal(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--dist", "banana", "--n", "3", *flags]) == 1
+    assert "InvalidConfig" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_funnel_writes_dim_columns(tmp_path):
+    path = tmp_path / "f.csv"
+    assert main(["sample", "--dist", "funnel", "--n", "5", "--dim", "3",
+                 "--out-file", str(path)]) == 0
+    assert read_samples_csv(path).shape == (5, 3)
+
+
 def test_sample_manifest_records_written_dim(tmp_path):
     path = tmp_path / "n.csv"
     code = main(["sample", "--dist", "normal", "--n", "5", "--mean", "0,0,0",
-                 "--out-file", str(path), "--out", str(tmp_path)])
+                 "--out-file", str(path)])
     assert code == 0
     assert read_samples_csv(path).shape == (5, 3)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -371,8 +401,7 @@ def test_ocd_threads_is_read_only_by_dist_matrix(tmp_path, monkeypatch, capsys):
     assert build_parser().parse_args(["dist-matrix", "--inputs", "a", "b"]).threads == 3
     monkeypatch.setenv("OCD_THREADS", "abc")
     path = tmp_path / "s.csv"
-    assert main(["sample", "--dist", "normal", "--n", "5", "--out-file", str(path),
-                 "--out", str(tmp_path)]) == 0
+    assert main(["sample", "--dist", "normal", "--n", "5", "--out-file", str(path)]) == 0
     with pytest.raises(SystemExit) as exc:
         main(["dist-matrix", "--inputs", str(path), str(path), "--out", str(tmp_path)])
     assert exc.value.code == 2

@@ -202,6 +202,24 @@ def test_divergence_raises_with_partial_diagnostics(epsilon):
     assert len(info.value.partial_diagnostics) >= 1
 
 
+def test_euler_position_overflow_raises_non_finite_state():
+    # finite velocities times a huge step leave the float range
+    ens = new_ensemble(np.array([[0.0], [1.0]]), np.array([[1e150], [-1e150]]))
+    with pytest.raises(NonFiniteState, match="position is not finite") as info:
+        run(ens, L2, cfg(dt=1e300))
+    assert len(info.value.partial_diagnostics) == 1
+
+
+def test_one_particle_records_zero_cross_correlation():
+    ens = new_ensemble(np.array([[0.0]]), np.array([[1.0]]))
+    result = run(ens, L2, SolverConfig(epsilon=1.0, max_steps=2, gamma_abs=0.0,
+                                       gamma_rel=0.0))
+    assert len(result.diagnostics) == 3
+    for rec in result.diagnostics:
+        np.testing.assert_array_equal(rec.cross_correlation, np.zeros((1, 1)))
+        assert rec.min_sym_eig == 0.0
+
+
 @pytest.mark.parametrize("epsilon", [1.0, np.inf])
 def test_overflowing_initial_extent_raises_non_finite_state(epsilon):
     # finite positions whose pair distances overflow: the first transport

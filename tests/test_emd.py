@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,12 @@ from ocd import (
 from oracles import hungarian_min_cost
 
 L2 = l2_cost_model()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only emd's assignment solver needs it; `ocd solve` never calls that
+    code = "import sys, ocd.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_emd_two_point_shift():

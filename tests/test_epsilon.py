@@ -212,6 +212,13 @@ def test_default_grid_single_point():
     np.testing.assert_allclose(default_epsilon_grid(build_index(np.array([[3.0]]))), [1.0])
 
 
+def test_default_grid_of_identical_points_starts_at_1e_9():
+    # no gap and no diameter: the grid runs from 1e-9 up to 1
+    grid = default_epsilon_grid(build_index(np.full((5, 2), 3.0)))
+    assert grid[0] == pytest.approx(1e-9, rel=1e-12)
+    assert grid[-1] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_default_grid_tolerates_duplicates():
     pts = np.array([[0.0], [0.0], [1.0], [2.0]])
     grid = default_epsilon_grid(build_index(pts))

@@ -4,6 +4,7 @@ import pytest
 from ocd import (
     GaussianPair,
     InvalidConfig,
+    NonFiniteInput,
     SingularCovariance,
     gaussian_ot_optimum,
     integrate_riccati,
@@ -63,6 +64,14 @@ def test_kappa_closed_form_rejects_bad_arguments():
         kappa_closed_form(1.0, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_kappa_closed_form_rejects_non_finite_sigmas(sigma):
+    with pytest.raises(InvalidConfig, match="finite"):
+        kappa_closed_form(sigma, 1.0, 1.0)
+    with pytest.raises(InvalidConfig, match="finite"):
+        kappa_closed_form(1.0, sigma, 1.0)
+
+
 def test_ot_optimum_commuting_diagonals():
     pair = GaussianPair(np.diag([1.0, 4.0]), np.diag([4.0, 1.0]))
     j_opt, d2 = gaussian_ot_optimum(pair)
@@ -109,8 +118,25 @@ def test_pair_validation():
         GaussianPair([[-1.0]], [[1.0]])                    # negative
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_pair_rejects_non_finite_covariances(value):
+    # checked before symmetry: a NaN entry is not an asymmetric matrix
+    with pytest.raises(NonFiniteInput, match="sigma_mu"):
+        GaussianPair([[value]], [[1.0]])
+    with pytest.raises(NonFiniteInput, match="sigma_nu"):
+        GaussianPair(np.eye(2), np.diag([1.0, value]))
+
+
 def test_integrate_rejects_bad_steps():
     with pytest.raises(InvalidConfig):
         integrate_riccati(UNIT_1D, np.zeros((1, 1)), dt=0.0, t_final=1.0)
     with pytest.raises(InvalidConfig):
         integrate_riccati(UNIT_1D, np.zeros((1, 1)), dt=0.1, t_final=-1.0)
+
+
+@pytest.mark.parametrize("dt, t_final", [
+    (np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf),
+])
+def test_integrate_rejects_non_finite_steps(dt, t_final):
+    with pytest.raises(InvalidConfig, match="finite"):
+        integrate_riccati(UNIT_1D, np.zeros((1, 1)), dt=dt, t_final=t_final)

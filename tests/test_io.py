@@ -239,6 +239,12 @@ def test_manifest_round_trip(tmp_path):
     assert back.config.epsilon == 0.3
 
 
+def test_manifest_with_null_config_reads_none(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"subcommand": "emd", "config": None}))
+    assert read_manifest(path).config is None
+
+
 def test_manifest_config_field_errors_are_parse_errors(tmp_path):
     # manifests of earlier versions carry the retired frozen-cluster option
     config = {"epsilon": 0.3, "epsilon_hat": 0.0, "dt": 0.1, "max_steps": 1000,
@@ -306,11 +312,11 @@ def test_ppm_round_trip(tmp_path):
     np.testing.assert_allclose(back.pixels, img.pixels, atol=1e-12)
 
 
-def test_ppm_ascii_round_trip(tmp_path):
+def test_ppm_round_trip_rounds_off_level_pixels(tmp_path):
     img = ImageSamples(np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.5]]), 2, 1)
-    path = tmp_path / "img_ascii.ppm"
-    write_ppm(img, path, ascii_format=True)
-    assert path.read_bytes().startswith(b"P3\n")
+    path = tmp_path / "img.ppm"
+    write_ppm(img, path)
+    assert path.read_bytes() == b"P6\n2 1\n255\n" + bytes([0, 128, 255, 255, 0, 128])
     back = read_ppm(path)
     np.testing.assert_allclose(back.pixels, [[0.0, 128 / 255, 1.0],
                                              [1.0, 0.0, 128 / 255]])
@@ -350,3 +356,18 @@ def test_pnm_parse_errors(tmp_path):
     wrong_kind.write_bytes(b"P5\n1 1\n255\n\x00")
     with pytest.raises(ParseError):
         read_ppm(wrong_kind)
+
+
+@pytest.mark.parametrize("raw, match", [
+    (b"P3\n2 1", "truncated image header"),
+    (b"P3\n2 x\n255\n1 2 3 4 5 6\n", "non-integer image dimensions"),
+    (b"P3\n0 1\n255\n", "bad image dimensions"),
+    (b"P3\n2 1\n255\n1 2 3 4 5\n", "expected 6 pixel values, got 5"),
+    (b"P3\n1 1\n255\n1 2.5 3\n", "non-integer pixel value"),
+    (b"P3\n1 1\n255\n1 256 3\n", "outside"),
+])
+def test_ascii_pnm_parse_errors(tmp_path, raw, match):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=match):
+        read_ppm(path)

@@ -23,6 +23,16 @@ def test_sample_normal_shape_mismatch():
         sample_normal(10, [0.0, 0.0], [[1.0]])
 
 
+@pytest.mark.parametrize("mean, cov", [
+    ([np.nan, 0.0], np.eye(2)),
+    ([np.inf], [[1.0]]),
+    ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+])
+def test_sample_normal_rejects_non_finite_moments(mean, cov):
+    with pytest.raises(InvalidConfig, match="finite"):
+        sample_normal(10, mean, cov)
+
+
 def test_samplers_are_seed_deterministic():
     for name, fn in SAMPLERS.items():
         if name == "normal":
