@@ -80,9 +80,12 @@ def _piecewise_constant_from_csr(ensemble, cost, csr_x, csr_y):
 def _min_max_eig_sym(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extreme eigenvalues of a batch of small symmetric matrices.
 
-    A closed form for n == 2 keeps the hot path away from batched LAPACK.
+    Closed forms for n <= 2 keep the hot path away from batched LAPACK.
     """
-    if mats.shape[-1] == 2:
+    n = mats.shape[-1]
+    if n == 1:
+        return mats[:, 0, 0], mats[:, 0, 0]
+    if n == 2:
         a = mats[:, 0, 0]
         c = mats[:, 1, 1]
         b = mats[:, 0, 1]

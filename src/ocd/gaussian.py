@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteInput, NonFiniteState, SingularCovariance
+from .errors import InvalidConfig, NonFiniteState, SingularCovariance
 
 
 def _sqrtm_spd(a: np.ndarray) -> np.ndarray:
@@ -36,7 +36,7 @@ class GaussianPair:
             if mat.shape[0] != mat.shape[1]:
                 raise SingularCovariance(f"{name} must be square, got {mat.shape}")
             if not np.isfinite(mat).all():
-                raise NonFiniteInput(f"{name} contains NaN or Inf")
+                raise InvalidConfig(f"{name} contains NaN or Inf")
             if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
                 raise SingularCovariance(f"{name} must be symmetric")
             if np.linalg.eigvalsh(mat)[0] <= 0:

@@ -4,7 +4,6 @@ import pytest
 from ocd import (
     GaussianPair,
     InvalidConfig,
-    NonFiniteInput,
     SingularCovariance,
     gaussian_ot_optimum,
     integrate_riccati,
@@ -121,9 +120,9 @@ def test_pair_validation():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_pair_rejects_non_finite_covariances(value):
     # checked before symmetry: a NaN entry is not an asymmetric matrix
-    with pytest.raises(NonFiniteInput, match="sigma_mu"):
+    with pytest.raises(InvalidConfig, match="sigma_mu"):
         GaussianPair([[value]], [[1.0]])
-    with pytest.raises(NonFiniteInput, match="sigma_nu"):
+    with pytest.raises(InvalidConfig, match="sigma_nu"):
         GaussianPair(np.eye(2), np.diag([1.0, value]))
 
 
